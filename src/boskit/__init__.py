@@ -10,12 +10,11 @@ is scriptable through the `boskit` command.
 
 from .circuit import (Circuit, GateSpec, StaticDiagnostics, StaticSemanticsError,
                       Violation, assemble_transfer_matrix, check_static,
-                      check_structure, embed)
+                      check_structure)
 from .engine import (EvalOptions, PermanentSizeError, distance_l2, distance_tv,
                      output_amplitude, permanent, pmf_mass, prob_fn)
 from .fock import (EnumerationCapError, FockState, Pmf, as_fock_state,
-                   enumerate_fock_states, fock_total, matrices_close,
-                   matrix_multiply)
+                   enumerate_fock_states, fock_total, matrices_close)
 from .gates import (GateType, gate_matrix, gate_mixer,
                     gate_mixer_lossy_correlated, gate_mixer_lossy_uncorrelated,
                     gate_phase)
@@ -26,11 +25,10 @@ from .sampler import ShotRecord, empirical_pmf, rng_from_seed, sample
 __all__ = [
     "Circuit", "GateSpec", "StaticDiagnostics", "StaticSemanticsError",
     "Violation", "assemble_transfer_matrix", "check_static", "check_structure",
-    "embed",
     "EvalOptions", "PermanentSizeError", "distance_l2", "distance_tv",
     "output_amplitude", "permanent", "pmf_mass", "prob_fn",
     "EnumerationCapError", "FockState", "Pmf", "as_fock_state",
-    "enumerate_fock_states", "fock_total", "matrices_close", "matrix_multiply",
+    "enumerate_fock_states", "fock_total", "matrices_close",
     "GateType", "gate_matrix", "gate_mixer", "gate_mixer_lossy_correlated",
     "gate_mixer_lossy_uncorrelated", "gate_phase",
     "NonFiniteObjectiveError", "OptProblem", "OptResult", "fd_gradient",

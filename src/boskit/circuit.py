@@ -8,17 +8,17 @@ n_modes + 2 * (number of lossy gates) modes in a reproducible layout.
 
 Circuits are plain data and may be constructed in malformed states;
 `check_static` is the validator and returns diagnostics instead of
-raising.  Operations that need a well-formed circuit raise
-`StaticSemanticsError` carrying those diagnostics.
+raising.  The public `assemble_transfer_matrix` runs `check_structure`
+and raises `StaticSemanticsError` carrying its diagnostics; the internal
+`_assemble` assumes a circuit that has already passed those checks.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .gates import GateType, gate_matrix
+from .gates import GateType, gate_matrix, param_violations
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,11 @@ class StaticDiagnostics:
     def ok(self) -> bool:
         return not self.violations
 
+    def raise_if_violated(self) -> None:
+        """Raise StaticSemanticsError carrying these diagnostics unless ok."""
+        if self.violations:
+            raise StaticSemanticsError(self)
+
 
 class StaticSemanticsError(ValueError):
     """Raised by operations whose meaning is undefined on malformed circuits."""
@@ -97,21 +102,8 @@ def _structural_violations(circuit: Circuit) -> list[Violation]:
                 found.append(Violation(
                     "R3",
                     f"mode index {m} out of range for {circuit.n_modes} modes", i))
-        names = gate.gate_type.param_names
-        if len(gate.params) != len(names):
-            found.append(Violation(
-                "R4",
-                f"{gate.gate_type.value} takes {len(names)} parameter(s) "
-                f"({', '.join(names)}), got {len(gate.params)}", i))
-        else:
-            for name, value in zip(names, gate.params):
-                if not math.isfinite(value):
-                    found.append(Violation(
-                        "R4", f"parameter {name} must be finite, got {value}", i))
-                elif name.startswith("eta") and not 0.0 <= value <= 1.0:
-                    found.append(Violation(
-                        "R4",
-                        f"transmissivity {name} must lie in [0, 1], got {value}", i))
+        found.extend(Violation("R4", problem, i)
+                     for problem in param_violations(gate.gate_type, gate.params))
     return found
 
 
@@ -143,24 +135,6 @@ def check_structure(circuit: Circuit) -> StaticDiagnostics:
     return StaticDiagnostics(tuple(_structural_violations(circuit)))
 
 
-def embed(gate: np.ndarray, target_modes: Sequence[int], total_modes: int) -> np.ndarray:
-    """Place `gate` on `target_modes` of a `total_modes`-mode identity."""
-    gate = np.asarray(gate, dtype=complex)
-    k = len(target_modes)
-    if gate.shape != (k, k):
-        raise ValueError(
-            f"gate is {gate.shape} but {k} target modes were given")
-    if len(set(target_modes)) != k:
-        raise ValueError(f"target modes must be distinct, got {list(target_modes)}")
-    for m in target_modes:
-        if not 0 <= m < total_modes:
-            raise ValueError(f"target mode {m} out of range for {total_modes} modes")
-    out = np.eye(total_modes, dtype=complex)
-    idx = np.asarray(target_modes)
-    out[np.ix_(idx, idx)] = gate
-    return out
-
-
 def loss_mode_layout(circuit: Circuit) -> list[tuple[int, ...]]:
     """Loss-mode indices per gate, allocated in gate order after the observed modes."""
     layout = []
@@ -173,18 +147,24 @@ def loss_mode_layout(circuit: Circuit) -> list[tuple[int, ...]]:
 
 
 def assemble_transfer_matrix(circuit: Circuit) -> np.ndarray:
-    """Compose the embedded gate matrices into the circuit transfer matrix.
+    """Compose the gate matrices into the circuit transfer matrix.
 
     Returns an M x M unitary with M = n_modes + 2 * (lossy gate count);
     gates compose right-to-left so the first listed gate acts first.
-    Raises StaticSemanticsError if the circuit is malformed.
+    Runs `check_structure` first and raises StaticSemanticsError if the
+    circuit is malformed.
     """
-    diagnostics = check_structure(circuit)
-    if not diagnostics.ok:
-        raise StaticSemanticsError(diagnostics)
-    total = circuit.n_total_modes
-    u = np.eye(total, dtype=complex)
+    check_structure(circuit).raise_if_violated()
+    return _assemble(circuit)
+
+
+def _assemble(circuit: Circuit) -> np.ndarray:
+    """Transfer matrix of a circuit that passed `check_structure`.
+
+    A k-mode gate changes only the k rows it touches, so only those are updated.
+    """
+    u = np.eye(circuit.n_total_modes, dtype=complex)
     for gate, loss_modes in zip(circuit.gates, loss_mode_layout(circuit)):
-        matrix = gate_matrix(gate.gate_type, gate.params)
-        u = embed(matrix, gate.modes + loss_modes, total) @ u
+        rows = list(gate.modes + loss_modes)
+        u[rows] = gate_matrix(gate.gate_type, gate.params) @ u[rows]
     return u

@@ -25,7 +25,7 @@ Conventional extensions: .bosc (circuit), .bosin (input), .bospmf (pmf),
 import json
 from typing import Sequence
 
-from .circuit import Circuit, GateSpec, StaticSemanticsError, check_structure
+from .circuit import Circuit, GateSpec, check_structure
 from .fock import FockState, Pmf
 from .gates import GateType
 
@@ -137,9 +137,7 @@ def parse_circuit(text: str, check: bool = True) -> Circuit:
 
     circuit = Circuit(n_modes, tuple(gates))
     if check:
-        diagnostics = check_structure(circuit)
-        if not diagnostics.ok:
-            raise StaticSemanticsError(diagnostics)
+        check_structure(circuit).raise_if_violated()
     return circuit
 
 

@@ -6,6 +6,9 @@ where U_{S,T} repeats row i of U s_i times and column j t_j times.  The
 pmf enumerates every output pattern with the input's photon total over
 the extended (observed + loss) modes, then marginalises the loss modes
 by summing probabilities over their occupations.
+
+The public entries `prob_fn` and `output_amplitude` validate their
+arguments; the internal `_evaluate` assumes checked input.
 """
 
 import math
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, StaticSemanticsError, assemble_transfer_matrix, check_static
+from .circuit import Circuit, _assemble, check_static
 from .fock import (DEFAULT_ENUMERATION_CAP, FockState, Pmf, as_fock_state,
                    enumerate_fock_states, fock_total)
 
@@ -88,18 +91,19 @@ def _mode_repeats(state: FockState) -> list[int]:
     return idx
 
 
-def _factorial_norm(*states: FockState) -> float:
+def _factorial_product(state: FockState) -> int:
     prod = 1
-    for state in states:
-        for n in state:
-            prod *= _FACTORIALS[n] if n < len(_FACTORIALS) else math.factorial(n)
-    return math.sqrt(prod)
+    for n in state:
+        prod *= _FACTORIALS[n] if n < len(_FACTORIALS) else math.factorial(n)
+    return prod
 
 
 def output_amplitude(u: np.ndarray, input_state: FockState,
                      output_state: FockState) -> complex:
-    """Transition amplitude from `input_state` to `output_state` through `u`."""
+    """Checked transition amplitude from `input_state` to `output_state` through `u`."""
     u = np.asarray(u, dtype=complex)
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"output_amplitude needs a square matrix, got shape {u.shape}")
     input_state = as_fock_state(input_state)
     output_state = as_fock_state(output_state)
     if len(input_state) != u.shape[0] or len(output_state) != u.shape[0]:
@@ -110,12 +114,9 @@ def output_amplitude(u: np.ndarray, input_state: FockState,
         raise ValueError(
             f"photon totals differ: {fock_total(input_state)} in, "
             f"{fock_total(output_state)} out")
-    rows = _mode_repeats(output_state)
-    cols = _mode_repeats(input_state)
-    if not rows:
-        return 1 + 0j  # vacuum in, vacuum out
-    sub = u[np.ix_(rows, cols)]
-    return permanent(sub) / _factorial_norm(input_state, output_state)
+    sub = u[np.ix_(_mode_repeats(output_state), _mode_repeats(input_state))]
+    norm = math.sqrt(_factorial_product(input_state) * _factorial_product(output_state))
+    return permanent(sub) / norm
 
 
 def prob_fn(circuit: Circuit, input_state, options: EvalOptions | None = None) -> Pmf:
@@ -127,25 +128,32 @@ def prob_fn(circuit: Circuit, input_state, options: EvalOptions | None = None) -
     whose totals may fall below the input total when photons are lost.
     Without thresholding the probabilities sum to 1.
 
-    Raises StaticSemanticsError on a malformed circuit/input pair and
-    EnumerationCapError when the output basis is too large.
+    Runs `check_static` once, raising StaticSemanticsError on a malformed
+    circuit/input pair, and raises EnumerationCapError when the output
+    basis is too large.
     """
     if options is None:
         options = EvalOptions()
-    diagnostics = check_static(circuit, tuple(input_state))
-    if not diagnostics.ok:
-        raise StaticSemanticsError(diagnostics)
-    input_state = as_fock_state(input_state)
+    input_state = tuple(input_state)
+    check_static(circuit, input_state).raise_if_violated()
+    return _evaluate(_assemble(circuit), circuit.n_modes, input_state, options)
 
-    u = assemble_transfer_matrix(circuit)
-    extended_input = input_state + (0,) * circuit.n_loss_modes
-    n_photons = fock_total(input_state)
 
+def _evaluate(u: np.ndarray, n_observed: int, input_state: FockState,
+              options: EvalOptions) -> Pmf:
+    """`prob_fn` on the transfer matrix `u` of a checked circuit; checks nothing.
+
+    `input_state` covers the first `n_observed` modes; the rest are loss modes.
+    """
+    cols = _mode_repeats(input_state)
+    input_factorials = _factorial_product(input_state)
     pmf: Pmf = {}
     for extended_output in enumerate_fock_states(
-            n_photons, circuit.n_total_modes, cap=options.enumeration_cap):
-        amp = output_amplitude(u, extended_input, extended_output)
-        observed = extended_output[:circuit.n_modes]
+            len(cols), u.shape[0], cap=options.enumeration_cap):
+        rows = _mode_repeats(extended_output)
+        norm = math.sqrt(input_factorials * _factorial_product(extended_output))
+        amp = permanent(u[np.ix_(rows, cols)]) / norm
+        observed = extended_output[:n_observed]
         pmf[observed] = pmf.get(observed, 0.0) + abs(amp) ** 2
     if options.threshold > 0.0:
         pmf = {state: p for state, p in pmf.items() if p >= options.threshold}

@@ -74,17 +74,6 @@ def _fill_states(n: int, m: int, prefix: FockState, out: list[FockState]) -> Non
         _fill_states(n - k, m - 1, prefix + (k,), out)
 
 
-def matrix_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit inner-dimension check."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("matrix_multiply expects 2-d arrays")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
-
-
 def matrices_close(a: np.ndarray, b: np.ndarray, tol: float = MAT_TOL) -> bool:
     """Entrywise equality within `tol` (max absolute difference)."""
     a = np.asarray(a)
@@ -92,11 +81,3 @@ def matrices_close(a: np.ndarray, b: np.ndarray, tol: float = MAT_TOL) -> bool:
     if a.shape != b.shape:
         return False
     return bool(np.max(np.abs(a - b)) <= tol) if a.size else True
-
-
-def is_unitary(u: np.ndarray, tol: float = MAT_TOL) -> bool:
-    """Check U Udag = I within `tol`."""
-    u = np.asarray(u, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        return False
-    return matrices_close(u @ u.conj().T, np.eye(u.shape[0]), tol)

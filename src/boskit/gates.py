@@ -4,10 +4,14 @@ Gate matrices map input-mode amplitudes to output-mode amplitudes
 (column index = input mode, row index = output mode).  The two lossy
 mixer variants are 4x4: rows/columns 0-1 are the observed modes, 2-3
 are the unobserved loss modes that the circuit assembler allocates.
+`GATES` is the one table of what each gate type is: its mode counts,
+its parameters with their ranges, and its matrix builder.
 """
 
 import enum
 import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,43 +27,66 @@ class GateType(enum.Enum):
     @property
     def n_modes(self) -> int:
         """Observed modes the gate acts on."""
-        return 1 if self is GateType.PHASE else 2
+        return GATES[self].n_modes
 
     @property
     def n_loss_modes(self) -> int:
         """Private unobserved modes the gate introduces."""
-        return 2 if self in (GateType.MIXER_LOSSY_UNCORRELATED,
-                             GateType.MIXER_LOSSY_CORRELATED) else 0
+        return GATES[self].n_loss_modes
+
+    @property
+    def params(self) -> tuple["Param", ...]:
+        return GATES[self].params
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        return _PARAM_NAMES[self]
+        return tuple(p.name for p in GATES[self].params)
 
 
-_PARAM_NAMES = {
-    GateType.PHASE: ("phi",),
-    GateType.MIXER: ("theta", "phi"),
-    GateType.MIXER_LOSSY_UNCORRELATED: ("theta", "phi", "eta1", "eta2"),
-    GateType.MIXER_LOSSY_CORRELATED: ("theta", "phi", "eta"),
-}
+@dataclass(frozen=True)
+class Param:
+    """A gate parameter's name and the closed range its value must lie in."""
+
+    name: str
+    lo: float = -math.inf
+    hi: float = math.inf
 
 
-def _check_finite(**params: float) -> None:
-    for name, value in params.items():
+@dataclass(frozen=True)
+class GateInfo:
+    """One row of the gate table."""
+
+    n_modes: int
+    n_loss_modes: int
+    params: tuple[Param, ...]
+    build: Callable[..., np.ndarray]
+
+
+def param_violations(gate_type: GateType, values: Sequence[float]) -> list[str]:
+    """Why `values` is not a valid parameter list for `gate_type` (empty if it is)."""
+    params = gate_type.params
+    if len(values) != len(params):
+        return [f"{gate_type.value} takes {len(params)} parameter(s) "
+                f"({', '.join(gate_type.param_names)}), got {len(values)}"]
+    found = []
+    for param, value in zip(params, values):
         if not math.isfinite(value):
-            raise ValueError(f"gate parameter {name} must be finite, got {value}")
+            found.append(f"parameter {param.name} must be finite, got {value}")
+        elif not param.lo <= value <= param.hi:
+            found.append(f"parameter {param.name} must lie in "
+                         f"[{param.lo:g}, {param.hi:g}], got {value}")
+    return found
 
 
-def _check_transmissivity(**etas: float) -> None:
-    _check_finite(**etas)
-    for name, value in etas.items():
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"transmissivity {name} must lie in [0, 1], got {value}")
+def _check_params(gate_type: GateType, *values: float) -> None:
+    problems = param_violations(gate_type, values)
+    if problems:
+        raise ValueError(problems[0])
 
 
 def gate_phase(phi: float) -> np.ndarray:
     """1x1 phase-shifter matrix [e^{i phi}]."""
-    _check_finite(phi=phi)
+    _check_params(GateType.PHASE, phi)
     return np.array([[np.exp(1j * phi)]], dtype=complex)
 
 
@@ -69,7 +96,7 @@ def gate_mixer(theta: float, phi: float) -> np.ndarray:
     Transmission amplitude t = cos(theta), reflection amplitude
     r = e^{-i phi} sin(theta), arranged as [[t, r], [-r*, t]].
     """
-    _check_finite(theta=theta, phi=phi)
+    _check_params(GateType.MIXER, theta, phi)
     t = math.cos(theta)
     r = np.exp(-1j * phi) * math.sin(theta)
     return np.array([[t, r], [-np.conj(r), t]], dtype=complex)
@@ -96,8 +123,7 @@ def gate_mixer_lossy_uncorrelated(theta: float, phi: float,
     arm 1 to loss mode 3 with eta2.  The result is
     blockdiag(M, I_2) . L1 . L2, unitary for any parameters in range.
     """
-    _check_finite(theta=theta, phi=phi)
-    _check_transmissivity(eta1=eta1, eta2=eta2)
+    _check_params(GateType.MIXER_LOSSY_UNCORRELATED, theta, phi, eta1, eta2)
     mixer = np.eye(4, dtype=complex)
     mixer[:2, :2] = gate_mixer(theta, phi)
     return mixer @ _loss_coupler(eta1, 0, 2) @ _loss_coupler(eta2, 1, 3)
@@ -112,25 +138,28 @@ def gate_mixer_lossy_correlated(theta: float, phi: float, eta: float) -> np.ndar
     maximally correlated between the arms.  Unitary because
     a^2 + b^2 = 1 and M is unitary.
     """
-    _check_finite(theta=theta, phi=phi)
-    _check_transmissivity(eta=eta)
+    _check_params(GateType.MIXER_LOSSY_CORRELATED, theta, phi, eta)
     m = gate_mixer(theta, phi)
     a = math.sqrt(eta)
     b = math.sqrt(1.0 - eta)
     return np.block([[a * m, b * m], [-b * m, a * m]])
 
 
+# Angles are unbounded; the etas are transmissivities and lie in [0, 1].
+GATES: dict[GateType, GateInfo] = {
+    GateType.PHASE: GateInfo(1, 0, (Param("phi"),), gate_phase),
+    GateType.MIXER: GateInfo(2, 0, (Param("theta"), Param("phi")), gate_mixer),
+    GateType.MIXER_LOSSY_UNCORRELATED: GateInfo(
+        2, 2, (Param("theta"), Param("phi"),
+               Param("eta1", 0.0, 1.0), Param("eta2", 0.0, 1.0)),
+        gate_mixer_lossy_uncorrelated),
+    GateType.MIXER_LOSSY_CORRELATED: GateInfo(
+        2, 2, (Param("theta"), Param("phi"), Param("eta", 0.0, 1.0)),
+        gate_mixer_lossy_correlated),
+}
+
+
 def gate_matrix(gate_type: GateType, params: tuple[float, ...]) -> np.ndarray:
     """Build the matrix for `gate_type` from its parameter list."""
-    expected = len(gate_type.param_names)
-    if len(params) != expected:
-        raise ValueError(
-            f"{gate_type.value} takes {expected} parameters "
-            f"({', '.join(gate_type.param_names)}), got {len(params)}")
-    builder = {
-        GateType.PHASE: gate_phase,
-        GateType.MIXER: gate_mixer,
-        GateType.MIXER_LOSSY_UNCORRELATED: gate_mixer_lossy_uncorrelated,
-        GateType.MIXER_LOSSY_CORRELATED: gate_mixer_lossy_correlated,
-    }[gate_type]
-    return builder(*params)
+    _check_params(gate_type, *params)
+    return GATES[gate_type].build(*params)

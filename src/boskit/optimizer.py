@@ -6,6 +6,9 @@ step, and keep the step only when it does not worsen the objective, so
 the recorded loss history never increases and the returned parameters
 are the best seen.  Several (input, target) pairs may share one
 parameter set, which trains the circuit as a classifier.
+
+`opt_config` validates its arguments once; the objective then calls the
+engine's unchecked `_evaluate` on parameters clipped into range.
 """
 
 import math
@@ -14,8 +17,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .circuit import Circuit, GateSpec, StaticSemanticsError, check_static
-from .engine import EvalOptions, distance_l2, distance_tv, prob_fn
+from .circuit import Circuit, GateSpec, _assemble, check_static, check_structure
+from .engine import EvalOptions, _evaluate, distance_l2, distance_tv
 from .fock import FockState, Pmf
 from .gates import GateType
 from .sampler import rng_from_seed
@@ -64,17 +67,9 @@ class OptResult:
 
 
 def _param_bounds(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    """Per-parameter (lower, upper); angles are unbounded, etas live in [0, 1]."""
-    lower, upper = [], []
-    for gate in circuit.gates:
-        for name in gate.gate_type.param_names:
-            if name.startswith("eta"):
-                lower.append(0.0)
-                upper.append(1.0)
-            else:
-                lower.append(-np.inf)
-                upper.append(np.inf)
-    return np.array(lower), np.array(upper)
+    """Per-parameter (lower, upper), from the gate table's ranges."""
+    params = [p for gate in circuit.gates for p in gate.gate_type.params]
+    return np.array([p.lo for p in params]), np.array([p.hi for p in params])
 
 
 def _with_params(template: Circuit, values: np.ndarray) -> Circuit:
@@ -89,11 +84,13 @@ def _with_params(template: Circuit, values: np.ndarray) -> Circuit:
 
 
 def _random_params(template: Circuit, rng: np.random.Generator) -> np.ndarray:
+    """Uniform over each bounded range; unbounded angles over [0, 2pi)."""
     values = []
     for gate in template.gates:
-        for name in gate.gate_type.param_names:
+        for param in gate.gate_type.params:
             u = rng.random()
-            values.append(u if name.startswith("eta") else 2.0 * math.pi * u)
+            span = param.hi - param.lo
+            values.append(param.lo + span * u if math.isfinite(span) else 2.0 * math.pi * u)
     return np.array(values, dtype=float)
 
 
@@ -124,10 +121,11 @@ def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray,
 def _make_objective(problem: OptProblem,
                     options: EvalOptions) -> Callable[[np.ndarray], float]:
     distance = OBJECTIVES[problem.objective]
+    n_modes = problem.circuit_template.n_modes
 
     def objective(values: np.ndarray) -> float:
-        circuit = _with_params(problem.circuit_template, values)
-        loss = sum(distance(prob_fn(circuit, inp, options), target)
+        u = _assemble(_with_params(problem.circuit_template, values))
+        loss = sum(distance(_evaluate(u, n_modes, inp, options), target)
                    for inp, target in problem.pairs)
         if not math.isfinite(loss):
             raise NonFiniteObjectiveError(f"objective evaluated to {loss}")
@@ -146,13 +144,14 @@ def opt_config(problem: OptProblem,
     Each iteration records the current loss and stops early once it
     falls below 1e-6; `final_loss` is the last recorded entry and equals
     the objective of the returned configuration.
+
+    The template with each pair's input, each target's mode count and
+    any pinned `init_params` are checked once, before any evaluation.
     """
     if options is None:
         options = EvalOptions()
     for inp, target in problem.pairs:
-        diagnostics = check_static(problem.circuit_template, tuple(inp))
-        if not diagnostics.ok:
-            raise StaticSemanticsError(diagnostics)
+        check_static(problem.circuit_template, tuple(inp)).raise_if_violated()
         for state in target:
             if len(state) != problem.circuit_template.n_modes:
                 raise ValueError(
@@ -166,6 +165,7 @@ def opt_config(problem: OptProblem,
         if params.shape != lower.shape:
             raise ValueError(
                 f"expected {len(lower)} parameters, got {len(params)}")
+        check_structure(_with_params(problem.circuit_template, params)).raise_if_violated()
     else:
         params = _random_params(problem.circuit_template,
                                 rng_from_seed(problem.seed))

@@ -36,6 +36,8 @@ def sample(pmf: Pmf, n_shots: int, seed: int) -> ShotRecord:
         raise ValueError(f"n_shots must be positive, got {n_shots}")
     states = sorted(pmf, reverse=True)
     weights = np.array([pmf[s] for s in states], dtype=float)
+    if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
+        raise ValueError("pmf weights must be finite and non-negative")
     total = weights.sum()
     if not states or total <= 0.0:
         raise ValueError("cannot sample from a pmf with no probability mass")

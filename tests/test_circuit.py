@@ -5,7 +5,7 @@ import pytest
 
 from boskit.circuit import (Circuit, GateSpec, StaticSemanticsError,
                             assemble_transfer_matrix, check_static,
-                            check_structure, embed, loss_mode_layout)
+                            check_structure, loss_mode_layout)
 from boskit.fock import matrices_close
 from boskit.gates import GateType, gate_mixer
 
@@ -67,30 +67,15 @@ def test_check_static_collects_multiple_violations():
     assert rules == {"R1", "R2", "R4"}
 
 
-def test_embed_identity():
-    assert matrices_close(embed(np.eye(2), (0, 1), 4), np.eye(4))
-
-
-def test_embed_permutation():
+def test_assemble_mode_order_is_conjugation_by_swap():
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    expected = np.array([[0, 0, 1], [0, 1, 0], [1, 0, 0]], dtype=complex)
-    assert matrices_close(embed(swap, (0, 2), 3), expected)
-
-
-def test_embed_mode_order_is_conjugation_by_swap():
-    m = gate_mixer(0.7, 1.2)
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    flipped = embed(m, (1, 0), 2)
-    assert matrices_close(flipped, swap @ embed(m, (0, 1), 2) @ swap)
-
-
-def test_embed_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        embed(np.eye(2), (0,), 3)
-    with pytest.raises(ValueError):
-        embed(np.eye(2), (0, 3), 3)
-    with pytest.raises(ValueError):
-        embed(np.eye(2), (1, 1), 3)
+    forward = assemble_transfer_matrix(Circuit(2, (mg(0, 1, 0.7, 1.2),)))
+    flipped = assemble_transfer_matrix(Circuit(2, (mg(1, 0, 0.7, 1.2),)))
+    assert matrices_close(flipped, swap @ forward @ swap)
+    # a full-reflection mixer on non-adjacent modes leaves the middle one alone
+    corners = assemble_transfer_matrix(Circuit(3, (mg(0, 2, math.pi / 2, 0.0),)))
+    expected = np.array([[0, 0, 1], [0, 1, 0], [-1, 0, 0]], dtype=complex)
+    assert matrices_close(corners, expected)
 
 
 def test_assemble_empty_circuit_is_identity():
@@ -118,7 +103,7 @@ def test_assemble_order_matters():
     ba = assemble_transfer_matrix(Circuit(2, (g2, g1)))
     assert not matrices_close(ab, ba)
     assert matrices_close(assemble_transfer_matrix(Circuit(2, (g1,))),
-                          embed(gate_mixer(0.7, 0.0), (0, 1), 2))
+                          gate_mixer(0.7, 0.0))
 
 
 def test_assemble_rejects_malformed():

@@ -7,7 +7,7 @@ from boskit.circuit import Circuit, GateSpec, StaticSemanticsError, assemble_tra
 from boskit.engine import (EvalOptions, PermanentSizeError, distance_l2,
                            distance_tv, output_amplitude, permanent, pmf_mass,
                            prob_fn)
-from boskit.fock import EnumerationCapError
+from boskit.fock import EnumerationCapError, enumerate_fock_states
 from boskit.gates import GateType, gate_mixer
 from boskit.sampler import rng_from_seed
 
@@ -72,6 +72,10 @@ def test_amplitude_rejects_mismatches():
         output_amplitude(eye, (1, 0, 0), (1, 0))
     with pytest.raises(ValueError):
         output_amplitude(eye, (1, 0), (1, 1))
+    with pytest.raises(ValueError):
+        output_amplitude(np.ones((2, 3)), (1, 0), (1, 0))
+    with pytest.raises(ValueError):
+        output_amplitude(np.ones((3, 2)), (1, 0, 0), (0, 0, 1))
 
 
 # --- prob_fn ---------------------------------------------------------------
@@ -95,6 +99,27 @@ def test_prob_fn_matches_brute_force_oracle():
         assert set(got) == set(expected)
         for state, p in expected.items():
             assert got[state] == pytest.approx(p, abs=1e-10)
+
+
+def test_prob_fn_sums_output_amplitudes_bit_for_bit():
+    # prob_fn inlines the amplitude loop; summing the checked public
+    # amplitudes in enumeration order must give the very same floats
+    rng = rng_from_seed(61)
+    lossy = 0
+    for circuit in circuit_corpus(seed=59, count=40, max_modes=4, max_gates=3):
+        n_photons = int(rng.integers(0, 4))
+        input_state = tuple(int(n) for n in rng.multinomial(
+            n_photons, [1 / circuit.n_modes] * circuit.n_modes))
+        u = assemble_transfer_matrix(circuit)
+        extended_input = input_state + (0,) * circuit.n_loss_modes
+        expected = {}
+        for extended_output in enumerate_fock_states(n_photons, circuit.n_total_modes):
+            key = extended_output[:circuit.n_modes]
+            amp = output_amplitude(u, extended_input, extended_output)
+            expected[key] = expected.get(key, 0.0) + abs(amp) ** 2
+        assert prob_fn(circuit, input_state) == expected
+        lossy += circuit.n_loss_modes > 0
+    assert lossy >= 10
 
 
 def test_lossless_limit_of_uncorrelated_equals_ideal():

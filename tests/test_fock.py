@@ -4,9 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boskit.fock import (EnumerationCapError, as_fock_state,
-                         enumerate_fock_states, fock_total, matrices_close,
-                         matrix_multiply)
-from boskit.sampler import rng_from_seed
+                         enumerate_fock_states, fock_total, matrices_close)
 
 from oracles import count_states
 
@@ -68,31 +66,6 @@ def test_enumerate_rejects_bad_arguments():
         enumerate_fock_states(1, 0)
     with pytest.raises(ValueError):
         enumerate_fock_states(-1, 2)
-
-
-def test_matrix_multiply_identity():
-    m = np.array([[1 + 2j, 3], [0, 4j]])
-    assert matrices_close(matrix_multiply(np.eye(2), m), m)
-    assert matrices_close(matrix_multiply(m, np.eye(2)), m)
-
-
-def test_matrix_multiply_swap_involution():
-    swap = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert matrices_close(matrix_multiply(swap, swap), np.eye(2))
-
-
-def test_matrix_multiply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        matrix_multiply(np.eye(2), np.eye(3))
-
-
-def test_matrix_multiply_associative():
-    rng = rng_from_seed(11)
-    for _ in range(20):
-        a, b, c = (rng.random((4, 4)) + 1j * rng.random((4, 4)) for _ in range(3))
-        left = matrix_multiply(matrix_multiply(a, b), c)
-        right = matrix_multiply(a, matrix_multiply(b, c))
-        assert matrices_close(left, right)
 
 
 def test_matrices_close_tolerance():

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import boskit.circuit
+import boskit.engine
+import boskit.optimizer
 from boskit.circuit import Circuit, GateSpec, StaticSemanticsError
 from boskit.engine import distance_tv, prob_fn
 from boskit.gates import GateType
@@ -121,6 +124,61 @@ def test_opt_problem_validation():
     problem = OptProblem(mixer_template(), (((1, 1, 1), {(1, 1, 1): 1.0}),))
     with pytest.raises(StaticSemanticsError):
         opt_config(problem)
+
+
+def test_pinned_params_are_checked_before_any_evaluation(monkeypatch):
+    template = Circuit(2, (GateSpec(GateType.MIXER_LOSSY_CORRELATED, (0, 1),
+                                    (0.0, 0.0, 0.5)),))
+    problem = OptProblem(template, TRANSMIT_PAIRS, n_train=5)
+
+    def no_evaluation(*args, **kwargs):
+        raise AssertionError("evaluated before the pinned parameters were checked")
+
+    monkeypatch.setattr(boskit.optimizer, "_evaluate", no_evaluation)
+    for pinned in ([0.1, 0.2, 1.5], [math.nan, 0.2, 0.5]):
+        with pytest.raises(StaticSemanticsError) as err:
+            opt_config(problem, init_params=pinned)
+        assert [v.rule for v in err.value.diagnostics.violations] == ["R4"]
+
+
+def count_checks(monkeypatch) -> list[str]:
+    """Record every check_static/check_structure call, at every binding."""
+    calls: list[str] = []
+    for name in ("check_static", "check_structure"):
+        original = getattr(boskit.circuit, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (boskit.circuit, boskit.engine, boskit.optimizer):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_validation_runs_once_at_the_boundary(monkeypatch):
+    template = Circuit(3, (
+        GateSpec(GateType.MIXER_LOSSY_CORRELATED, (0, 1), (0.0, 0.0, 0.5)),
+        GateSpec(GateType.MIXER_LOSSY_CORRELATED, (1, 2), (0.0, 0.0, 0.5)),
+    ))
+    teacher = Circuit(3, (
+        GateSpec(GateType.MIXER_LOSSY_CORRELATED, (0, 1), (0.4, 1.0, 0.8)),
+        GateSpec(GateType.MIXER_LOSSY_CORRELATED, (1, 2), (1.2, 0.3, 0.6)),
+    ))
+    pairs = tuple((inp, prob_fn(teacher, inp)) for inp in ((1, 1, 0), (0, 1, 1)))
+    calls = count_checks(monkeypatch)
+
+    prob_fn(teacher, (1, 1, 0))
+    assert len(calls) == 1
+
+    for n_train in (1, 4):
+        problem = OptProblem(template, pairs, n_train=n_train, objective="l2")
+        for init_params in (None, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]):
+            calls.clear()
+            result = opt_config(problem, init_params=init_params)
+            assert len(result.loss_history) == n_train
+            assert len(calls) <= len(pairs) + 1
 
 
 def test_non_finite_objective_is_reported():

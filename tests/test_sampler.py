@@ -69,6 +69,9 @@ def test_sample_rejects_bad_arguments():
         sample({}, 10, seed=0)
     with pytest.raises(ValueError):
         sample({(1,): 0.0}, 10, seed=0)
+    for bad in (math.nan, -0.5, math.inf):
+        with pytest.raises(ValueError):
+            sample({(1, 0): bad, (0, 1): 0.5}, 5, seed=1)
     with pytest.raises(ValueError):
         sample(HOM_PMF, 0, seed=0)
     with pytest.raises(ValueError):
