@@ -18,7 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gates import GateType, gate_matrix, param_violations
+from .fock import is_occupation
+from .gates import GATES, GateType, param_violations
 
 
 @dataclass(frozen=True)
@@ -122,7 +123,7 @@ def check_static(circuit: Circuit, input_state: Sequence[int]) -> StaticDiagnost
             f"input has {len(input_state)} mode(s) but the circuit has "
             f"{circuit.n_modes}"))
     for m, n in enumerate(input_state):
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
+        if not is_occupation(n):
             found.append(Violation(
                 "R5",
                 f"input occupation for mode {m} must be a non-negative "
@@ -161,10 +162,12 @@ def assemble_transfer_matrix(circuit: Circuit) -> np.ndarray:
 def _assemble(circuit: Circuit) -> np.ndarray:
     """Transfer matrix of a circuit that passed `check_structure`.
 
-    A k-mode gate changes only the k rows it touches, so only those are updated.
+    R4 has already checked every gate's parameters, so each matrix comes
+    straight from the gate table's unchecked builder.  A k-mode gate
+    changes only the k rows it touches, so only those are updated.
     """
     u = np.eye(circuit.n_total_modes, dtype=complex)
     for gate, loss_modes in zip(circuit.gates, loss_mode_layout(circuit)):
         rows = list(gate.modes + loss_modes)
-        u[rows] = gate_matrix(gate.gate_type, gate.params) @ u[rows]
+        u[rows] = GATES[gate.gate_type].build(*gate.params) @ u[rows]
     return u

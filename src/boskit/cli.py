@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import dslio
 from .circuit import StaticSemanticsError, check_static
-from .engine import EvalOptions, PermanentSizeError, pmf_mass, prob_fn
+from .engine import PermanentSizeError, pmf_mass, prob_fn
 from .fock import EnumerationCapError
 from .optimizer import (NonFiniteObjectiveError, OptProblem, OptResult,
                         opt_config, opt_structure)
@@ -69,8 +69,7 @@ def cmd_check(args) -> int:
 def _evaluate(args):
     circuit = dslio.parse_circuit(_read(args.circuit))
     input_state = dslio.parse_input(_read(args.input))
-    options = EvalOptions(threshold=getattr(args, "threshold", 0.0))
-    return prob_fn(circuit, input_state, options)
+    return prob_fn(circuit, input_state, threshold=args.threshold)
 
 
 def cmd_eval(args) -> int:

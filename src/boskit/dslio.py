@@ -84,6 +84,17 @@ def _as_real(value, where: str) -> float:
     return float(value)
 
 
+def _occupations(value, where: str) -> FockState:
+    """A JSON array of non-negative integers, as a Fock state (possibly empty)."""
+    if not isinstance(value, list):
+        raise DocumentTypeError(f"{where} must be an array of occupation numbers")
+    state = tuple(_as_int(n, where) for n in value)
+    if any(n < 0 for n in state):
+        raise DocumentTypeError(
+            f"{where}: occupation numbers must be non-negative, got {list(state)}")
+    return state
+
+
 def _gate_type(name, where: str) -> GateType:
     if not isinstance(name, str) or name not in _GATE_NAMES:
         raise DocumentTypeError(
@@ -175,13 +186,10 @@ def serialize_circuit(circuit: Circuit) -> str:
 
 def parse_input(text: str) -> FockState:
     """Parse an input document: a JSON array of non-negative integers."""
-    doc = _load_json(text, "input")
-    if not isinstance(doc, list) or not doc:
+    state = _occupations(_load_json(text, "input"), "input")
+    if not state:
         raise DocumentTypeError("input document must be a non-empty JSON array")
-    occupations = [_as_int(n, "input") for n in doc]
-    if any(n < 0 for n in occupations):
-        raise DocumentTypeError(f"occupation numbers must be non-negative: {doc}")
-    return tuple(occupations)
+    return state
 
 
 def serialize_input(state: FockState) -> str:
@@ -214,11 +222,7 @@ def _parse_pmf_entries(doc, where: str) -> Pmf:
         if set(entry) == {"retained_mass"}:
             continue
         _require_keys(entry, ("state", "prob"), where)
-        if not isinstance(entry["state"], list):
-            raise DocumentTypeError(f"{where}: 'state' must be an array")
-        state = tuple(_as_int(n, f"{where}.state") for n in entry["state"])
-        if any(n < 0 for n in state):
-            raise DocumentTypeError(f"{where}: negative occupation in {state}")
+        state = _occupations(entry["state"], f"{where}.state")
         prob = _as_real(entry["prob"], f"{where}.prob")
         if not 0.0 <= prob <= 1.0 + 1e-9:
             raise DocumentTypeError(f"{where}: probability {prob} outside [0, 1]")
@@ -245,11 +249,9 @@ def parse_pairs(text: str) -> list[tuple[FockState, Pmf]]:
         if not isinstance(entry, dict):
             raise DocumentTypeError(f"pairs[{i}] must be an object")
         _require_keys(entry, ("input", "target"), f"pairs[{i}]")
-        if not isinstance(entry["input"], list) or not entry["input"]:
+        state = _occupations(entry["input"], f"pairs[{i}].input")
+        if not state:
             raise DocumentTypeError(f"pairs[{i}].input must be a non-empty array")
-        state = tuple(_as_int(n, f"pairs[{i}].input") for n in entry["input"])
-        if any(n < 0 for n in state):
-            raise DocumentTypeError(f"pairs[{i}].input has a negative occupation")
         pairs.append((state, _parse_pmf_entries(entry["target"], f"pairs[{i}].target")))
     return pairs
 

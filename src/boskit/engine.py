@@ -8,17 +8,16 @@ the extended (observed + loss) modes, then marginalises the loss modes
 by summing probabilities over their occupations.
 
 The public entries `prob_fn` and `output_amplitude` validate their
-arguments; the internal `_evaluate` assumes checked input.
+arguments; the internal `_evaluate` assumes checked input and returns
+the full pmf.  The one evaluation setting is `prob_fn`'s `threshold`.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import Circuit, _assemble, check_static
-from .fock import (DEFAULT_ENUMERATION_CAP, FockState, Pmf, as_fock_state,
-                   enumerate_fock_states, fock_total)
+from .fock import FockState, Pmf, enumerate_fock_states, is_occupation
 
 # Permanents are O(2^n * n); anything larger than this is intractable here.
 MAX_PERMANENT_SIZE = 30
@@ -29,24 +28,6 @@ class PermanentSizeError(ValueError):
 
 
 _FACTORIALS = tuple(math.factorial(n) for n in range(21))
-
-
-@dataclass(frozen=True)
-class EvalOptions:
-    """Evaluation knobs: probability threshold and enumeration cap.
-
-    Entries below `threshold` are dropped from the returned pmf after
-    the full computation; the remaining entries are not renormalised.
-    """
-
-    threshold: float = 0.0
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-
-    def __post_init__(self):
-        if not 0.0 <= self.threshold < 1.0:
-            raise ValueError(f"threshold must lie in [0, 1), got {self.threshold}")
-        if self.enumeration_cap < 1:
-            raise ValueError("enumeration_cap must be positive")
 
 
 def permanent(matrix: np.ndarray) -> complex:
@@ -100,63 +81,74 @@ def _factorial_product(state: FockState) -> int:
 
 def output_amplitude(u: np.ndarray, input_state: FockState,
                      output_state: FockState) -> complex:
-    """Checked transition amplitude from `input_state` to `output_state` through `u`."""
+    """Checked transition amplitude from `input_state` to `output_state` through `u`.
+
+    Both states must be non-empty sequences of non-negative integer
+    occupations (the R5 rule), as long as `u` is square, with equal totals.
+    """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"output_amplitude needs a square matrix, got shape {u.shape}")
-    input_state = as_fock_state(input_state)
-    output_state = as_fock_state(output_state)
+    input_state = tuple(input_state)
+    output_state = tuple(output_state)
+    for state in (input_state, output_state):
+        if not state:
+            raise ValueError("a Fock state needs at least one mode")
+        if not all(is_occupation(n) for n in state):
+            raise ValueError(
+                f"occupations must be non-negative integers, got {state}")
     if len(input_state) != u.shape[0] or len(output_state) != u.shape[0]:
         raise ValueError(
             f"states of lengths {len(input_state)}/{len(output_state)} do not "
             f"match a {u.shape[0]}-mode matrix")
-    if fock_total(input_state) != fock_total(output_state):
+    if sum(input_state) != sum(output_state):
         raise ValueError(
-            f"photon totals differ: {fock_total(input_state)} in, "
-            f"{fock_total(output_state)} out")
+            f"photon totals differ: {sum(input_state)} in, "
+            f"{sum(output_state)} out")
     sub = u[np.ix_(_mode_repeats(output_state), _mode_repeats(input_state))]
     norm = math.sqrt(_factorial_product(input_state) * _factorial_product(output_state))
     return permanent(sub) / norm
 
 
-def prob_fn(circuit: Circuit, input_state, options: EvalOptions | None = None) -> Pmf:
+def prob_fn(circuit: Circuit, input_state, *, threshold: float = 0.0) -> Pmf:
     """Exact output pmf of `input_state` through `circuit`.
 
     The input is extended with vacuum on the loss modes, every extended
     output pattern with the same photon total is evaluated, and loss
     modes are marginalised away, so the keys are observed-mode patterns
     whose totals may fall below the input total when photons are lost.
-    Without thresholding the probabilities sum to 1.
+    Entries below `threshold` are dropped after the full computation and
+    the rest are not renormalised; with the default 0 the probabilities
+    sum to 1.
 
-    Runs `check_static` once, raising StaticSemanticsError on a malformed
-    circuit/input pair, and raises EnumerationCapError when the output
-    basis is too large.
+    Raises ValueError unless 0 <= threshold < 1, then runs `check_static`
+    once, raising StaticSemanticsError on a malformed circuit/input pair,
+    and raises EnumerationCapError when the output basis is too large.
     """
-    if options is None:
-        options = EvalOptions()
+    if not 0.0 <= threshold < 1.0:
+        raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
     input_state = tuple(input_state)
     check_static(circuit, input_state).raise_if_violated()
-    return _evaluate(_assemble(circuit), circuit.n_modes, input_state, options)
+    pmf = _evaluate(_assemble(circuit), circuit.n_modes, input_state)
+    if threshold > 0.0:
+        pmf = {state: p for state, p in pmf.items() if p >= threshold}
+    return pmf
 
 
-def _evaluate(u: np.ndarray, n_observed: int, input_state: FockState,
-              options: EvalOptions) -> Pmf:
-    """`prob_fn` on the transfer matrix `u` of a checked circuit; checks nothing.
+def _evaluate(u: np.ndarray, n_observed: int, input_state: FockState) -> Pmf:
+    """The full pmf from the transfer matrix `u` of a checked circuit; checks nothing.
 
     `input_state` covers the first `n_observed` modes; the rest are loss modes.
     """
     cols = _mode_repeats(input_state)
     input_factorials = _factorial_product(input_state)
     pmf: Pmf = {}
-    for extended_output in enumerate_fock_states(
-            len(cols), u.shape[0], cap=options.enumeration_cap):
+    for extended_output in enumerate_fock_states(len(cols), u.shape[0]):
         rows = _mode_repeats(extended_output)
         norm = math.sqrt(input_factorials * _factorial_product(extended_output))
         amp = permanent(u[np.ix_(rows, cols)]) / norm
         observed = extended_output[:n_observed]
         pmf[observed] = pmf.get(observed, 0.0) + abs(amp) ** 2
-    if options.threshold > 0.0:
-        pmf = {state: p for state, p in pmf.items() if p >= options.threshold}
     return pmf
 
 

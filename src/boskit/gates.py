@@ -5,7 +5,9 @@ Gate matrices map input-mode amplitudes to output-mode amplitudes
 mixer variants are 4x4: rows/columns 0-1 are the observed modes, 2-3
 are the unobserved loss modes that the circuit assembler allocates.
 `GATES` is the one table of what each gate type is: its mode counts,
-its parameters with their ranges, and its matrix builder.
+its parameters with their ranges, and its matrix builder.  The table's
+builders check nothing; `gate_matrix` and the public `gate_*` builders
+run `param_violations` once and then build.
 """
 
 import enum
@@ -78,25 +80,11 @@ def param_violations(gate_type: GateType, values: Sequence[float]) -> list[str]:
     return found
 
 
-def _check_params(gate_type: GateType, *values: float) -> None:
-    problems = param_violations(gate_type, values)
-    if problems:
-        raise ValueError(problems[0])
-
-
-def gate_phase(phi: float) -> np.ndarray:
-    """1x1 phase-shifter matrix [e^{i phi}]."""
-    _check_params(GateType.PHASE, phi)
+def _phase(phi: float) -> np.ndarray:
     return np.array([[np.exp(1j * phi)]], dtype=complex)
 
 
-def gate_mixer(theta: float, phi: float) -> np.ndarray:
-    """2x2 mixer (beam-splitter) matrix.
-
-    Transmission amplitude t = cos(theta), reflection amplitude
-    r = e^{-i phi} sin(theta), arranged as [[t, r], [-r*, t]].
-    """
-    _check_params(GateType.MIXER, theta, phi)
+def _mixer(theta: float, phi: float) -> np.ndarray:
     t = math.cos(theta)
     r = np.exp(-1j * phi) * math.sin(theta)
     return np.array([[t, r], [-np.conj(r), t]], dtype=complex)
@@ -114,19 +102,70 @@ def _loss_coupler(eta: float, observed: int, loss: int) -> np.ndarray:
     return u
 
 
+def _mixer_lossy_uncorrelated(theta: float, phi: float,
+                              eta1: float, eta2: float) -> np.ndarray:
+    mixer = np.eye(4, dtype=complex)
+    mixer[:2, :2] = _mixer(theta, phi)
+    return mixer @ _loss_coupler(eta1, 0, 2) @ _loss_coupler(eta2, 1, 3)
+
+
+def _mixer_lossy_correlated(theta: float, phi: float, eta: float) -> np.ndarray:
+    m = _mixer(theta, phi)
+    a = math.sqrt(eta)
+    b = math.sqrt(1.0 - eta)
+    return np.block([[a * m, b * m], [-b * m, a * m]])
+
+
+# Angles are unbounded; the etas are transmissivities and lie in [0, 1].
+GATES: dict[GateType, GateInfo] = {
+    GateType.PHASE: GateInfo(1, 0, (Param("phi"),), _phase),
+    GateType.MIXER: GateInfo(2, 0, (Param("theta"), Param("phi")), _mixer),
+    GateType.MIXER_LOSSY_UNCORRELATED: GateInfo(
+        2, 2, (Param("theta"), Param("phi"),
+               Param("eta1", 0.0, 1.0), Param("eta2", 0.0, 1.0)),
+        _mixer_lossy_uncorrelated),
+    GateType.MIXER_LOSSY_CORRELATED: GateInfo(
+        2, 2, (Param("theta"), Param("phi"), Param("eta", 0.0, 1.0)),
+        _mixer_lossy_correlated),
+}
+
+
+def gate_matrix(gate_type: GateType, params: tuple[float, ...]) -> np.ndarray:
+    """Build the matrix for `gate_type` from its parameter list.
+
+    Raises ValueError, naming the first problem `param_violations`
+    finds, on a wrong parameter count or an out-of-range value.
+    """
+    problems = param_violations(gate_type, params)
+    if problems:
+        raise ValueError(problems[0])
+    return GATES[gate_type].build(*params)
+
+
+def gate_phase(phi: float) -> np.ndarray:
+    """1x1 phase-shifter matrix [e^{i phi}]; checked by `gate_matrix`."""
+    return gate_matrix(GateType.PHASE, (phi,))
+
+
+def gate_mixer(theta: float, phi: float) -> np.ndarray:
+    """2x2 mixer (beam-splitter) matrix; checked by `gate_matrix`.
+
+    Transmission amplitude t = cos(theta), reflection amplitude
+    r = e^{-i phi} sin(theta), arranged as [[t, r], [-r*, t]].
+    """
+    return gate_matrix(GateType.MIXER, (theta, phi))
+
+
 def gate_mixer_lossy_uncorrelated(theta: float, phi: float,
                                   eta1: float, eta2: float) -> np.ndarray:
-    """4x4 mixer with independent per-arm loss.
+    """4x4 mixer with independent per-arm loss; checked by `gate_matrix`.
 
     Each observed arm passes through its own loss coupler before the
     ideal mixer: arm 0 couples to loss mode 2 with transmissivity eta1,
     arm 1 to loss mode 3 with eta2.  The result is
     blockdiag(M, I_2) . L1 . L2, unitary for any parameters in range.
     """
-    _check_params(GateType.MIXER_LOSSY_UNCORRELATED, theta, phi, eta1, eta2)
-    mixer = np.eye(4, dtype=complex)
-    mixer[:2, :2] = gate_mixer(theta, phi)
-    return mixer @ _loss_coupler(eta1, 0, 2) @ _loss_coupler(eta2, 1, 3)
+    return gate_matrix(GateType.MIXER_LOSSY_UNCORRELATED, (theta, phi, eta1, eta2))
 
 
 def gate_mixer_lossy_correlated(theta: float, phi: float, eta: float) -> np.ndarray:
@@ -136,30 +175,6 @@ def gate_mixer_lossy_correlated(theta: float, phi: float, eta: float) -> np.ndar
     b = sqrt(1 - eta) and M the ideal mixer: the surviving and lost
     light both pass through the same mixing process, so the loss is
     maximally correlated between the arms.  Unitary because
-    a^2 + b^2 = 1 and M is unitary.
+    a^2 + b^2 = 1 and M is unitary.  Checked by `gate_matrix`.
     """
-    _check_params(GateType.MIXER_LOSSY_CORRELATED, theta, phi, eta)
-    m = gate_mixer(theta, phi)
-    a = math.sqrt(eta)
-    b = math.sqrt(1.0 - eta)
-    return np.block([[a * m, b * m], [-b * m, a * m]])
-
-
-# Angles are unbounded; the etas are transmissivities and lie in [0, 1].
-GATES: dict[GateType, GateInfo] = {
-    GateType.PHASE: GateInfo(1, 0, (Param("phi"),), gate_phase),
-    GateType.MIXER: GateInfo(2, 0, (Param("theta"), Param("phi")), gate_mixer),
-    GateType.MIXER_LOSSY_UNCORRELATED: GateInfo(
-        2, 2, (Param("theta"), Param("phi"),
-               Param("eta1", 0.0, 1.0), Param("eta2", 0.0, 1.0)),
-        gate_mixer_lossy_uncorrelated),
-    GateType.MIXER_LOSSY_CORRELATED: GateInfo(
-        2, 2, (Param("theta"), Param("phi"), Param("eta", 0.0, 1.0)),
-        gate_mixer_lossy_correlated),
-}
-
-
-def gate_matrix(gate_type: GateType, params: tuple[float, ...]) -> np.ndarray:
-    """Build the matrix for `gate_type` from its parameter list."""
-    _check_params(gate_type, *params)
-    return GATES[gate_type].build(*params)
+    return gate_matrix(GateType.MIXER_LOSSY_CORRELATED, (theta, phi, eta))

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuit import Circuit, GateSpec, _assemble, check_static, check_structure
-from .engine import EvalOptions, _evaluate, distance_l2, distance_tv
+from .engine import _evaluate, distance_l2, distance_tv
 from .fock import FockState, Pmf
 from .gates import GateType
 from .sampler import rng_from_seed
@@ -118,14 +118,13 @@ def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray,
     return grad
 
 
-def _make_objective(problem: OptProblem,
-                    options: EvalOptions) -> Callable[[np.ndarray], float]:
+def _make_objective(problem: OptProblem) -> Callable[[np.ndarray], float]:
     distance = OBJECTIVES[problem.objective]
     n_modes = problem.circuit_template.n_modes
 
     def objective(values: np.ndarray) -> float:
         u = _assemble(_with_params(problem.circuit_template, values))
-        loss = sum(distance(_evaluate(u, n_modes, inp, options), target)
+        loss = sum(distance(_evaluate(u, n_modes, inp), target)
                    for inp, target in problem.pairs)
         if not math.isfinite(loss):
             raise NonFiniteObjectiveError(f"objective evaluated to {loss}")
@@ -135,8 +134,7 @@ def _make_objective(problem: OptProblem,
 
 
 def opt_config(problem: OptProblem,
-               init_params: Sequence[float] | None = None,
-               options: EvalOptions | None = None) -> OptResult:
+               init_params: Sequence[float] | None = None) -> OptResult:
     """Learn gate parameters for the template that reproduce the target pmfs.
 
     Parameters start uniformly at random (angles over [0, 2pi), etas
@@ -146,10 +144,10 @@ def opt_config(problem: OptProblem,
     the objective of the returned configuration.
 
     The template with each pair's input, each target's mode count and
-    any pinned `init_params` are checked once, before any evaluation.
+    any pinned `init_params` are checked once, before any evaluation;
+    the objective then assembles without re-checking gate parameters and
+    compares each target with the full, unthresholded pmf.
     """
-    if options is None:
-        options = EvalOptions()
     for inp, target in problem.pairs:
         check_static(problem.circuit_template, tuple(inp)).raise_if_violated()
         for state in target:
@@ -158,7 +156,7 @@ def opt_config(problem: OptProblem,
                     f"target state {list(state)} does not match the "
                     f"{problem.circuit_template.n_modes}-mode template")
 
-    objective = _make_objective(problem, options)
+    objective = _make_objective(problem)
     lower, upper = _param_bounds(problem.circuit_template)
     if init_params is not None:
         params = np.array(init_params, dtype=float)

@@ -73,6 +73,14 @@ def test_eval_threshold_can_empty_the_support():
     assert "retained mass = 0 over 0 states" in proc.stdout
 
 
+def test_eval_rejects_threshold_outside_unit_interval():
+    for threshold in ("1.5", "nan"):
+        proc = run_cli("eval", fixture("hom.bosc"), fixture("hom.bosin"),
+                       "--threshold", threshold)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: threshold must lie in [0, 1)")
+
+
 def test_eval_semantic_violation_exits_2():
     proc = run_cli("eval", fixture("dup_modes.bosc"), fixture("hom.bosin"))
     assert proc.returncode == 2

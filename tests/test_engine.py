@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import boskit.fock
 from boskit.circuit import Circuit, GateSpec, StaticSemanticsError, assemble_transfer_matrix
-from boskit.engine import (EvalOptions, PermanentSizeError, distance_l2,
-                           distance_tv, output_amplitude, permanent, pmf_mass,
-                           prob_fn)
+from boskit.engine import (PermanentSizeError, distance_l2, distance_tv,
+                           output_amplitude, permanent, pmf_mass, prob_fn)
 from boskit.fock import EnumerationCapError, enumerate_fock_states
 from boskit.gates import GateType, gate_mixer
 from boskit.sampler import rng_from_seed
@@ -76,6 +76,17 @@ def test_amplitude_rejects_mismatches():
         output_amplitude(np.ones((2, 3)), (1, 0), (1, 0))
     with pytest.raises(ValueError):
         output_amplitude(np.ones((3, 2)), (1, 0, 0), (0, 0, 1))
+    with pytest.raises(ValueError):
+        output_amplitude(np.zeros((0, 0)), (), ())
+    with pytest.raises(ValueError):
+        output_amplitude(eye, (1, -1), (0, 0))
+    # fractional and boolean occupations break R5, as they do for prob_fn
+    with pytest.raises(ValueError):
+        output_amplitude(eye, (1.9, 0), (1, 0))
+    with pytest.raises(ValueError):
+        output_amplitude(eye, (0.5, 0.5), (0, 0))
+    with pytest.raises(ValueError):
+        output_amplitude(eye, (True, 0), (1, 0))
 
 
 # --- prob_fn ---------------------------------------------------------------
@@ -170,7 +181,7 @@ def test_threshold_drops_entries_without_changing_retained():
     base = prob_fn(HOM, (1, 1))
     seen_sizes = []
     for threshold in (0.0, 0.1, 0.6):
-        pmf = prob_fn(HOM, (1, 1), EvalOptions(threshold=threshold))
+        pmf = prob_fn(HOM, (1, 1), threshold=threshold)
         assert all(p >= threshold for p in pmf.values())
         for state, p in pmf.items():
             assert p == base[state]
@@ -190,18 +201,23 @@ def test_phase_gate_leaves_probabilities_unchanged():
         assert p1.get(state, 0.0) == pytest.approx(p2.get(state, 0.0), abs=1e-12)
 
 
-def test_prob_fn_rejects_malformed_and_oversized():
+def test_prob_fn_rejects_malformed_and_oversized(monkeypatch):
     with pytest.raises(StaticSemanticsError):
         prob_fn(mixer_circuit(0.5), (1, 1, 1))
+
+    def no_states(*args):
+        raise AssertionError("built states before checking the cap")
+
+    monkeypatch.setattr(boskit.fock, "_fill_states", no_states)
+    # 40 photons in 40 modes: C(79, 39) ~ 5e22 states, far above the 10^7 cap
     with pytest.raises(EnumerationCapError):
-        prob_fn(mixer_circuit(0.5), (3, 3), EvalOptions(enumeration_cap=3))
+        prob_fn(Circuit(40), (1,) * 40)
 
 
-def test_eval_options_validation():
-    with pytest.raises(ValueError):
-        EvalOptions(threshold=1.0)
-    with pytest.raises(ValueError):
-        EvalOptions(threshold=-0.1)
+@pytest.mark.parametrize("threshold", [1.0, -0.1, math.nan])
+def test_prob_fn_threshold_validation(threshold):
+    with pytest.raises(ValueError, match="threshold must lie in"):
+        prob_fn(HOM, (1, 1), threshold=threshold)
 
 
 # --- distances -------------------------------------------------------------

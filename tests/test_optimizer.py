@@ -5,6 +5,7 @@ import pytest
 
 import boskit.circuit
 import boskit.engine
+import boskit.gates
 import boskit.optimizer
 from boskit.circuit import Circuit, GateSpec, StaticSemanticsError
 from boskit.engine import distance_tv, prob_fn
@@ -157,28 +158,65 @@ def count_checks(monkeypatch) -> list[str]:
     return calls
 
 
+# The train-lossy benchmark workload: a 3-mode 2xMGL2 template and a teacher.
+TRAIN_TEMPLATE = Circuit(3, (
+    GateSpec(GateType.MIXER_LOSSY_CORRELATED, (0, 1), (0.0, 0.0, 0.5)),
+    GateSpec(GateType.MIXER_LOSSY_CORRELATED, (1, 2), (0.0, 0.0, 0.5)),
+))
+TRAIN_TEACHER = Circuit(3, (
+    GateSpec(GateType.MIXER_LOSSY_CORRELATED, (0, 1), (0.4, 1.0, 0.8)),
+    GateSpec(GateType.MIXER_LOSSY_CORRELATED, (1, 2), (1.2, 0.3, 0.6)),
+))
+TRAIN_PAIRS = tuple((inp, prob_fn(TRAIN_TEACHER, inp)) for inp in ((1, 1, 0), (0, 1, 1)))
+
+
 def test_validation_runs_once_at_the_boundary(monkeypatch):
-    template = Circuit(3, (
-        GateSpec(GateType.MIXER_LOSSY_CORRELATED, (0, 1), (0.0, 0.0, 0.5)),
-        GateSpec(GateType.MIXER_LOSSY_CORRELATED, (1, 2), (0.0, 0.0, 0.5)),
-    ))
-    teacher = Circuit(3, (
-        GateSpec(GateType.MIXER_LOSSY_CORRELATED, (0, 1), (0.4, 1.0, 0.8)),
-        GateSpec(GateType.MIXER_LOSSY_CORRELATED, (1, 2), (1.2, 0.3, 0.6)),
-    ))
-    pairs = tuple((inp, prob_fn(teacher, inp)) for inp in ((1, 1, 0), (0, 1, 1)))
     calls = count_checks(monkeypatch)
 
-    prob_fn(teacher, (1, 1, 0))
+    prob_fn(TRAIN_TEACHER, (1, 1, 0))
     assert len(calls) == 1
 
     for n_train in (1, 4):
-        problem = OptProblem(template, pairs, n_train=n_train, objective="l2")
+        problem = OptProblem(TRAIN_TEMPLATE, TRAIN_PAIRS, n_train=n_train, objective="l2")
         for init_params in (None, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]):
             calls.clear()
             result = opt_config(problem, init_params=init_params)
             assert len(result.loss_history) == n_train
-            assert len(calls) <= len(pairs) + 1
+            assert len(calls) <= len(TRAIN_PAIRS) + 1
+
+
+def test_gate_parameters_are_checked_once_per_gate(monkeypatch):
+    calls = []
+    original = boskit.gates.param_violations
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (boskit.gates, boskit.circuit, boskit.engine, boskit.optimizer):
+        if hasattr(module, "param_violations"):
+            monkeypatch.setattr(module, "param_violations", counted)
+
+    gates = []
+    for k in range(6):
+        gates.append(GateSpec(GateType.PHASE, (k % 3,), (0.3 * k,)))
+        if k % 2:
+            gates.append(GateSpec(GateType.MIXER_LOSSY_UNCORRELATED, (0, 1),
+                                  (0.2 * k, 0.1, 0.7, 0.9)))
+        else:
+            gates.append(GateSpec(GateType.MIXER_LOSSY_CORRELATED, (1, 2),
+                                  (0.2 * k, 0.1, 0.8)))
+    lossy = Circuit(3, tuple(gates))
+    assert len(lossy.gates) == 12
+    prob_fn(lossy, (1, 0, 1))
+    assert len(calls) == 12
+
+    counts = []
+    for n_train in (1, 4):
+        calls.clear()
+        opt_config(OptProblem(TRAIN_TEMPLATE, TRAIN_PAIRS, n_train=n_train, objective="l2"))
+        counts.append(len(calls))
+    assert counts == [len(TRAIN_PAIRS) * len(TRAIN_TEMPLATE.gates)] * 2
 
 
 def test_non_finite_objective_is_reported():
