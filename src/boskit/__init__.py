@@ -8,8 +8,8 @@ pmfs, and shots all have canonical file formats, and the same surface
 is scriptable through the `boskit` command.
 
 The package namespace holds the names a script needs to build, check,
-evaluate, sample and train a circuit; everything else (the per-gate
-builders, Fock-state enumeration, the PRNG helper) is imported from its
+evaluate, sample and train a circuit; everything else (`gate_matrix`,
+Fock-state enumeration, the PRNG helper) is imported from its
 submodule.
 """
 

@@ -7,9 +7,11 @@ observed modes, so the assembled transfer matrix acts on
 n_modes + 2 * (number of lossy gates) modes in a reproducible layout.
 
 Circuits are plain data and may be constructed in malformed states;
-`check_static` is the validator and returns diagnostics instead of
-raising.  The public `assemble_transfer_matrix` runs `check_structure`
-and raises `StaticSemanticsError` carrying its diagnostics; the internal
+`check_static` and its input-independent subset `check_structure` are
+the one home of the rules R1-R5 (R3 included: `GateSpec` keeps modes as
+given) and return diagnostics instead of raising.  The public
+`assemble_transfer_matrix` runs `check_structure` and raises
+`StaticSemanticsError` carrying its diagnostics; the internal
 `_assemble` assumes a circuit that has already passed those checks.
 """
 
@@ -31,7 +33,7 @@ class GateSpec:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "modes", tuple(int(m) for m in self.modes))
+        object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
 
 
@@ -88,9 +90,11 @@ class StaticSemanticsError(ValueError):
 
 def _structural_violations(circuit: Circuit) -> list[Violation]:
     found: list[Violation] = []
-    if circuit.n_modes < 1:
+    count_ok = is_occupation(circuit.n_modes) and circuit.n_modes >= 1
+    if not count_ok:
         found.append(Violation(
-            "R3", f"circuit must have at least one mode, got {circuit.n_modes}"))
+            "R3", f"circuit must have a positive integer number of modes, "
+                  f"got {circuit.n_modes}"))
     for i, gate in enumerate(circuit.gates):
         arity = gate.gate_type.n_modes
         if len(gate.modes) != arity or len(set(gate.modes)) != len(gate.modes):
@@ -99,10 +103,10 @@ def _structural_violations(circuit: Circuit) -> list[Violation]:
                 f"{gate.gate_type.value} must act on exactly {arity} distinct "
                 f"mode(s), got {list(gate.modes)}", i))
         for m in gate.modes:
-            if not 0 <= m < circuit.n_modes:
+            if not is_occupation(m) or (count_ok and m >= circuit.n_modes):
                 found.append(Violation(
                     "R3",
-                    f"mode index {m} out of range for {circuit.n_modes} modes", i))
+                    f"mode index {m} is not an integer in [0, {circuit.n_modes})", i))
         found.extend(Violation("R4", problem, i)
                      for problem in param_violations(gate.gate_type, gate.params))
     return found
@@ -112,7 +116,8 @@ def check_static(circuit: Circuit, input_state: Sequence[int]) -> StaticDiagnost
     """Run all static well-formedness rules; never raises.
 
     Rules: R1 input length equals the mode count; R2 gates act on the
-    right number of distinct modes; R3 mode indices in range; R4
+    right number of distinct modes; R3 the mode count is a positive
+    integer and every mode index an integer in range; R4
     parameter arity/finiteness/ranges per gate type; R5 input
     occupations are non-negative integers.
     """

@@ -5,10 +5,10 @@ computes the exact output pmf, `sample` draws seeded detection shots,
 and `optimize` / `optimize-structure` train circuit parameters (and
 optionally placements) toward target pmfs.
 
-Exit codes: 0 success, 1 document/parse error, 2 static-semantics
-violation, 3 resource limit (output basis too large), 4 numeric failure
-(non-finite loss).  All randomness flows from --seed; when omitted the
-fixed default 1234 is used, never entropy.
+Exit codes: 0 success, 1 usage or document error, 2 static-semantics
+violation, 3 resource limit (output basis or permanent too large), 4
+numeric failure (non-finite loss).  All randomness flows from --seed;
+when omitted the fixed default 1234 is used, never entropy.
 """
 
 import argparse
@@ -19,8 +19,8 @@ from . import dslio
 from .circuit import StaticSemanticsError, check_static
 from .engine import PermanentSizeError, pmf_mass, prob_fn
 from .fock import EnumerationCapError
-from .optimizer import (NonFiniteObjectiveError, OptProblem, OptResult,
-                        opt_config, opt_structure)
+from .optimizer import (OBJECTIVES, NonFiniteObjectiveError, OptProblem,
+                        OptResult, opt_config, opt_structure)
 from .sampler import sample
 
 DEFAULT_SEED = 1234
@@ -55,7 +55,7 @@ def _print_pmf_report(pmf) -> None:
 
 
 def cmd_check(args) -> int:
-    circuit = dslio.parse_circuit(_read(args.circuit), check=False)
+    circuit = dslio.parse_circuit(_read(args.circuit))
     input_state = dslio.parse_input(_read(args.input))
     diagnostics = check_static(circuit, input_state)
     if diagnostics.ok:
@@ -97,7 +97,7 @@ def _report_result(result: OptResult, args) -> int:
     if args.out:
         Path(args.out).write_text(dslio.serialize_circuit(result.config),
                                   encoding="utf-8")
-    if getattr(args, "trace", None):
+    if args.trace:
         lines = ["iteration,loss"]
         lines += [f"{i},{loss:.17g}" for i, loss in enumerate(result.loss_history)]
         Path(args.trace).write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -123,20 +123,29 @@ def cmd_optimize_structure(args) -> int:
 
 
 def _add_opt_flags(parser) -> None:
-    parser.add_argument("--iters", type=int, default=200,
-                        help="training iterations (default 200)")
-    parser.add_argument("--step", type=float, default=0.25,
-                        help="gradient-descent step size (default 0.25)")
+    parser.add_argument("--iters", type=int, default=OptProblem.n_train,
+                        help="training iterations (default %(default)s)")
+    parser.add_argument("--step", type=float, default=OptProblem.step_size,
+                        help="gradient-descent step size (default %(default)s)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
                         help=f"PRNG seed (default {DEFAULT_SEED})")
-    parser.add_argument("--objective", choices=("tv", "l2"), default="tv",
-                        help="pmf distance to minimise (default tv)")
+    parser.add_argument("--objective", choices=tuple(OBJECTIVES),
+                        default=OptProblem.objective,
+                        help="pmf distance to minimise (default %(default)s)")
     parser.add_argument("--out", help="write the learned circuit document here")
     parser.add_argument("--trace", help="write an iteration,loss CSV here")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error; here 2 means a semantics violation."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="boskit",
         description="Interferometer circuit DSL: validate, evaluate, "
                     "sample, and optimize.")

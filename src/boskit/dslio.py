@@ -15,6 +15,9 @@ into in-memory GateSpec records:
       ]
     }
 
+Parsers check documents only; the circuit rules R1-R5, R3's mode
+ranges included, belong to `boskit.circuit.check_static`.
+
 Serialisation is canonical: fixed key order, 2-space indentation, reals
 printed with 17 significant digits so every double round-trips exactly.
 
@@ -25,7 +28,7 @@ Conventional extensions: .bosc (circuit), .bosin (input), .bospmf (pmf),
 import json
 from typing import Sequence
 
-from .circuit import Circuit, GateSpec, check_structure
+from .circuit import Circuit, GateSpec
 from .fock import FockState, Pmf
 from .gates import GateType
 
@@ -102,15 +105,11 @@ def _gate_type(name, where: str) -> GateType:
     return _GATE_NAMES[name]
 
 
-def parse_circuit(text: str, check: bool = True) -> Circuit:
+def parse_circuit(text: str) -> Circuit:
     """Parse a circuit document and fuse posn/config into a Circuit.
 
     Document problems raise a DocumentError subclass (syntax, key, type,
-    or alignment).  With `check` (the default) the fused circuit is then
-    run through the input-independent static rules, raising
-    StaticSemanticsError on violations; `check=False` defers that to the
-    caller, which lets diagnostics be collected together with
-    input-dependent rules.
+    or alignment); R1-R5 are left to `check_static`.
     """
     doc = _load_json(text, "circuit")
     if not isinstance(doc, dict):
@@ -146,10 +145,7 @@ def parse_circuit(text: str, check: bool = True) -> Circuit:
                        for name in gate_type.param_names)
         gates.append(GateSpec(gate_type, modes, params))
 
-    circuit = Circuit(n_modes, tuple(gates))
-    if check:
-        check_structure(circuit).raise_if_violated()
-    return circuit
+    return Circuit(n_modes, tuple(gates))
 
 
 def _real(value: float) -> str:

@@ -6,8 +6,9 @@ mixer variants are 4x4: rows/columns 0-1 are the observed modes, 2-3
 are the unobserved loss modes that the circuit assembler allocates.
 `GATES` is the one table of what each gate type is: its mode counts,
 its parameters with their ranges, and its matrix builder.  The table's
-builders check nothing; `gate_matrix` and the public `gate_*` builders
-run `param_violations` once and then build.
+builders check nothing; `gate_matrix`, the one public builder, runs
+`param_violations` once and then builds.  Mode placement is the
+circuit's concern: `boskit.circuit` owns the R2 and R3 rules.
 """
 
 import enum
@@ -81,10 +82,16 @@ def param_violations(gate_type: GateType, values: Sequence[float]) -> list[str]:
 
 
 def _phase(phi: float) -> np.ndarray:
+    """P: 1x1 phase-shifter matrix [e^{i phi}]."""
     return np.array([[np.exp(1j * phi)]], dtype=complex)
 
 
 def _mixer(theta: float, phi: float) -> np.ndarray:
+    """MG: 2x2 mixer (beam-splitter) matrix.
+
+    Transmission amplitude t = cos(theta), reflection amplitude
+    r = e^{-i phi} sin(theta), arranged as [[t, r], [-r*, t]].
+    """
     t = math.cos(theta)
     r = np.exp(-1j * phi) * math.sin(theta)
     return np.array([[t, r], [-np.conj(r), t]], dtype=complex)
@@ -104,12 +111,27 @@ def _loss_coupler(eta: float, observed: int, loss: int) -> np.ndarray:
 
 def _mixer_lossy_uncorrelated(theta: float, phi: float,
                               eta1: float, eta2: float) -> np.ndarray:
+    """MGL1: 4x4 mixer with independent per-arm loss.
+
+    Each observed arm passes through its own loss coupler before the
+    ideal mixer: arm 0 couples to loss mode 2 with transmissivity eta1,
+    arm 1 to loss mode 3 with eta2.  The result is
+    blockdiag(M, I_2) . L1 . L2, unitary for any parameters in range.
+    """
     mixer = np.eye(4, dtype=complex)
     mixer[:2, :2] = _mixer(theta, phi)
     return mixer @ _loss_coupler(eta1, 0, 2) @ _loss_coupler(eta2, 1, 3)
 
 
 def _mixer_lossy_correlated(theta: float, phi: float, eta: float) -> np.ndarray:
+    """MGL2: 4x4 mixer whose two arms lose photons through one shared process.
+
+    Block form [[a M, b M], [-b M, a M]] with a = sqrt(eta),
+    b = sqrt(1 - eta) and M the ideal mixer: the surviving and lost
+    light both pass through the same mixing process, so the loss is
+    maximally correlated between the arms.  Unitary because
+    a^2 + b^2 = 1 and M is unitary.
+    """
     m = _mixer(theta, phi)
     a = math.sqrt(eta)
     b = math.sqrt(1.0 - eta)
@@ -133,6 +155,7 @@ GATES: dict[GateType, GateInfo] = {
 def gate_matrix(gate_type: GateType, params: tuple[float, ...]) -> np.ndarray:
     """Build the matrix for `gate_type` from its parameter list.
 
+    Each gate type's matrix is defined on its builder in `GATES`.
     Raises ValueError, naming the first problem `param_violations`
     finds, on a wrong parameter count or an out-of-range value.
     """
@@ -140,41 +163,3 @@ def gate_matrix(gate_type: GateType, params: tuple[float, ...]) -> np.ndarray:
     if problems:
         raise ValueError(problems[0])
     return GATES[gate_type].build(*params)
-
-
-def gate_phase(phi: float) -> np.ndarray:
-    """1x1 phase-shifter matrix [e^{i phi}]; checked by `gate_matrix`."""
-    return gate_matrix(GateType.PHASE, (phi,))
-
-
-def gate_mixer(theta: float, phi: float) -> np.ndarray:
-    """2x2 mixer (beam-splitter) matrix; checked by `gate_matrix`.
-
-    Transmission amplitude t = cos(theta), reflection amplitude
-    r = e^{-i phi} sin(theta), arranged as [[t, r], [-r*, t]].
-    """
-    return gate_matrix(GateType.MIXER, (theta, phi))
-
-
-def gate_mixer_lossy_uncorrelated(theta: float, phi: float,
-                                  eta1: float, eta2: float) -> np.ndarray:
-    """4x4 mixer with independent per-arm loss; checked by `gate_matrix`.
-
-    Each observed arm passes through its own loss coupler before the
-    ideal mixer: arm 0 couples to loss mode 2 with transmissivity eta1,
-    arm 1 to loss mode 3 with eta2.  The result is
-    blockdiag(M, I_2) . L1 . L2, unitary for any parameters in range.
-    """
-    return gate_matrix(GateType.MIXER_LOSSY_UNCORRELATED, (theta, phi, eta1, eta2))
-
-
-def gate_mixer_lossy_correlated(theta: float, phi: float, eta: float) -> np.ndarray:
-    """4x4 mixer whose two arms lose photons through one shared process.
-
-    Block form [[a M, b M], [-b M, a M]] with a = sqrt(eta),
-    b = sqrt(1 - eta) and M the ideal mixer: the surviving and lost
-    light both pass through the same mixing process, so the loss is
-    maximally correlated between the arms.  Unitary because
-    a^2 + b^2 = 1 and M is unitary.  Checked by `gate_matrix`.
-    """
-    return gate_matrix(GateType.MIXER_LOSSY_CORRELATED, (theta, phi, eta))

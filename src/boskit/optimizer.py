@@ -207,8 +207,9 @@ def _random_structure(n_modes: int, n_gates_max: int,
 def opt_structure(n_modes: int, n_gates_max: int,
                   pairs: Sequence[tuple[FockState, Pmf]],
                   n_restarts: int = 8, seed: int = 0,
-                  n_train: int = 150, step_size: float = 0.25,
-                  objective: str = "tv") -> OptResult:
+                  n_train: int = OptProblem.n_train,
+                  step_size: float = OptProblem.step_size,
+                  objective: str = OptProblem.objective) -> OptResult:
     """Random-restart search over gate counts and placements.
 
     Each restart draws a candidate structure from its own (seed, restart)

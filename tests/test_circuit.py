@@ -6,7 +6,7 @@ import pytest
 from boskit.circuit import (Circuit, GateSpec, StaticSemanticsError,
                             assemble_transfer_matrix, check_static,
                             check_structure, loss_mode_layout)
-from boskit.gates import GateType, gate_mixer
+from boskit.gates import GateType, gate_matrix
 
 from oracles import ALL_TYPES, circuit_corpus
 
@@ -42,6 +42,16 @@ def test_r2_wrong_mode_count():
 def test_r3_mode_out_of_range():
     c = Circuit(2, (mg(0, 2),))
     assert [v.rule for v in check_static(c, (1, 1)).violations] == ["R3"]
+    # modes that are not non-negative integers are refused, not truncated
+    for modes in ((0, 1.9), (True, 0)):
+        c = Circuit(2, (mg(*modes),))
+        assert c.gates[0].modes == modes
+        assert [v.rule for v in check_static(c, (1, 1)).violations] == ["R3"]
+        assert [v.rule for v in check_structure(c).violations] == ["R3"]
+    assert [v.rule for v in check_structure(Circuit(2.5)).violations] == ["R3"]
+    bad_count = Circuit("2", (GateSpec(GateType.PHASE, (0,), (0.1,)),))
+    assert [v.rule for v in check_structure(bad_count).violations] == ["R3"]
+    assert "R3" in {v.rule for v in check_static(Circuit(2.5), (1, 1)).violations}
 
 
 def test_r4_param_arity_and_range():
@@ -85,7 +95,8 @@ def test_assemble_empty_circuit_is_identity():
 def test_assemble_single_mixer_reproduces_reference():
     c = Circuit(2, (mg(0, 1, math.pi / 4, 2 * math.pi / 3),))
     assert np.allclose(assemble_transfer_matrix(c),
-                       gate_mixer(math.pi / 4, 2 * math.pi / 3), rtol=0, atol=1e-10)
+                       gate_matrix(GateType.MIXER, (math.pi / 4, 2 * math.pi / 3)),
+                       rtol=0, atol=1e-10)
 
 
 def test_assemble_angle_addition():
@@ -103,13 +114,15 @@ def test_assemble_order_matters():
     ba = assemble_transfer_matrix(Circuit(2, (g2, g1)))
     assert not np.allclose(ab, ba, rtol=0, atol=1e-10)
     assert np.allclose(assemble_transfer_matrix(Circuit(2, (g1,))),
-                       gate_mixer(0.7, 0.0), rtol=0, atol=1e-10)
+                       gate_matrix(GateType.MIXER, (0.7, 0.0)), rtol=0, atol=1e-10)
 
 
 def test_assemble_rejects_malformed():
     with pytest.raises(StaticSemanticsError) as err:
         assemble_transfer_matrix(Circuit(2, (mg(0, 0),)))
     assert not err.value.diagnostics.ok
+    with pytest.raises(StaticSemanticsError):
+        assemble_transfer_matrix(Circuit(2.5))
 
 
 def test_loss_mode_layout_and_dimension():

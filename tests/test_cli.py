@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import boskit.cli as cli
 from boskit.circuit import Circuit, GateSpec
 from boskit.engine import prob_fn
@@ -47,6 +49,35 @@ def test_check_malformed_document_is_a_parse_error():
 def test_missing_file_is_a_parse_error():
     proc = run_cli("check", fixture("nope.bosc"), fixture("hom.bosin"))
     assert proc.returncode == 1
+
+
+def test_eval_missing_input_is_a_usage_error():
+    proc = run_cli("eval", fixture("hom.bosc"))
+    assert proc.returncode == 1
+    assert "required: input" in proc.stderr
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--help"])
+    assert exc.value.code == 0
+
+
+def test_sample_non_integer_shots_is_a_usage_error():
+    proc = run_cli("sample", fixture("hom.bosc"), fixture("hom.bosin"),
+                   "--shots", "abc")
+    assert proc.returncode == 1
+    assert "invalid int value: 'abc'" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, checks", [
+    (["check", fixture("hom.bosc"), fixture("hom.bosin")], 1),
+    (["eval", fixture("hom.bosc"), fixture("hom.bosin")], 1),
+    (["sample", fixture("hom.bosc"), fixture("hom.bosin"), "--shots", "5"], 1),
+    # one check_static per training pair
+    (["optimize", fixture("template.bosc"), fixture("classifier_pairs.json"),
+      "--iters", "1"], 2),
+])
+def test_circuit_rules_run_once_per_use(check_calls, capsys, argv, checks):
+    assert cli.main(argv) == 0
+    assert len(check_calls) == checks
 
 
 def test_eval_golden(tmp_path):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from boskit.circuit import Circuit, GateSpec, StaticSemanticsError
+from boskit.circuit import Circuit, GateSpec, check_static
 from boskit.dslio import (DocumentAlignmentError, DocumentError,
                           DocumentKeyError, DocumentSyntaxError,
                           DocumentTypeError, parse_circuit, parse_input,
@@ -105,13 +105,12 @@ def test_alignment_error_names_the_index():
         parse_circuit(doc)
 
 
-def test_parse_checks_structural_semantics_by_default():
+def test_parse_leaves_circuit_rules_to_check_static():
     doc = ('{"modes": 2, "posn": [{"name": "MG", "modes": [0, 0]}], '
            '"config": [{"name": "MG", "theta": 0, "phi": 0}]}')
-    with pytest.raises(StaticSemanticsError):
-        parse_circuit(doc)
-    circuit = parse_circuit(doc, check=False)  # deferred for diagnostics
+    circuit = parse_circuit(doc)
     assert circuit.gates[0].modes == (0, 0)
+    assert [v.rule for v in check_static(circuit, (1, 1)).violations] == ["R2"]
 
 
 def test_parse_input_literals():

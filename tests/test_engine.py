@@ -8,7 +8,7 @@ from boskit.circuit import Circuit, GateSpec, StaticSemanticsError, assemble_tra
 from boskit.engine import (PermanentSizeError, distance_l2, distance_tv,
                            output_amplitude, permanent, pmf_mass, prob_fn)
 from boskit.fock import EnumerationCapError, enumerate_fock_states
-from boskit.gates import GateType, gate_mixer
+from boskit.gates import GateType, gate_matrix
 from boskit.sampler import rng_from_seed
 
 from oracles import LOSSLESS_TYPES, brute_force_pmf, circuit_corpus, naive_permanent
@@ -62,7 +62,7 @@ def test_amplitude_identity_matrix():
 
 
 def test_amplitude_hom_coincidence_vanishes():
-    u = gate_mixer(math.pi / 4, 0.0)
+    u = gate_matrix(GateType.MIXER, (math.pi / 4, 0.0))
     assert abs(output_amplitude(u, (1, 1), (1, 1))) < 1e-12
 
 

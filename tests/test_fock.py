@@ -10,7 +10,7 @@ from boskit.fock import EnumerationCapError, enumerate_fock_states, is_occupatio
 from oracles import count_states
 
 
-def test_as_fock_state_rejects_bad_states():
+def test_occupation_rule_rejects_bad_states():
     # a Fock state is a non-empty tuple of non-negative integer occupations
     assert all(is_occupation(n) for n in (0, 1, np.int64(3)))
     assert not any(is_occupation(n) for n in (-1, True, 1.0))

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boskit.gates import (GateType, gate_matrix, gate_mixer,
-                          gate_mixer_lossy_correlated,
-                          gate_mixer_lossy_uncorrelated, gate_phase)
+from boskit.gates import GateType, gate_matrix
 
-# Printed reference output for gate_mixer(pi/4, 2*pi/3), 8 decimals.
+MGL1 = GateType.MIXER_LOSSY_UNCORRELATED
+MGL2 = GateType.MIXER_LOSSY_CORRELATED
+
+# Printed reference output for the MG matrix at (pi/4, 2*pi/3), 8 decimals.
 MIXER_REFERENCE = np.array([
     [0.70710678 + 0.0j, -0.35355339 - 0.61237244j],
     [0.35355339 - 0.61237244j, 0.70710678 + 0.0j],
@@ -24,7 +25,7 @@ def unitary_defect(u):
 
 
 def test_mixer_matches_reference_output():
-    assert np.max(np.abs(gate_mixer(math.pi / 4, 2 * math.pi / 3)
+    assert np.max(np.abs(gate_matrix(GateType.MIXER, (math.pi / 4, 2 * math.pi / 3))
                          - MIXER_REFERENCE)) < 1e-8
 
 
@@ -34,7 +35,7 @@ def test_mixer_matches_reference_output():
     (math.pi / 2, 0.0 + 1.0j),
 ])
 def test_phase_gate_values(phi, expected):
-    m = gate_phase(phi)
+    m = gate_matrix(GateType.PHASE, (phi,))
     assert m.shape == (1, 1)
     assert abs(m[0, 0] - expected) < 1e-12
     assert abs(abs(m[0, 0]) - 1.0) < 1e-12
@@ -42,47 +43,48 @@ def test_phase_gate_values(phi, expected):
 
 @pytest.mark.parametrize("phi", [0.0, 1.3, 5.0])
 def test_mixer_theta_zero_is_identity(phi):
-    assert np.allclose(gate_mixer(0.0, phi), np.eye(2), rtol=0, atol=1e-10)
+    assert np.allclose(gate_matrix(GateType.MIXER, (0.0, phi)), np.eye(2),
+                       rtol=0, atol=1e-10)
 
 
 def test_mixer_full_reflection():
-    assert np.allclose(gate_mixer(math.pi / 2, 0.0),
+    assert np.allclose(gate_matrix(GateType.MIXER, (math.pi / 2, 0.0)),
                        np.array([[0, 1], [-1, 0]], dtype=complex), rtol=0, atol=1e-10)
 
 
 @pytest.mark.parametrize("theta", ANGLES)
 @pytest.mark.parametrize("phi", [0.0, math.pi / 3, 1.7])
 def test_mixer_amplitudes_normalised(theta, phi):
-    m = gate_mixer(theta, phi)
+    m = gate_matrix(GateType.MIXER, (theta, phi))
     assert abs(abs(m[0, 0]) ** 2 + abs(m[0, 1]) ** 2 - 1.0) < 1e-12
 
 
 def test_gate_builders_reject_non_finite():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
-            gate_phase(bad)
+            gate_matrix(GateType.PHASE, (bad,))
         with pytest.raises(ValueError):
-            gate_mixer(bad, 0.0)
+            gate_matrix(GateType.MIXER, (bad, 0.0))
         with pytest.raises(ValueError):
-            gate_mixer_lossy_correlated(0.0, bad, 1.0)
+            gate_matrix(MGL2, (0.0, bad, 1.0))
 
 
 @pytest.mark.parametrize("eta", [-0.1, 1.1, math.nan])
 def test_lossy_builders_reject_bad_transmissivity(eta):
     with pytest.raises(ValueError):
-        gate_mixer_lossy_uncorrelated(0.3, 0.1, eta, 0.5)
+        gate_matrix(MGL1, (0.3, 0.1, eta, 0.5))
     with pytest.raises(ValueError):
-        gate_mixer_lossy_uncorrelated(0.3, 0.1, 0.5, eta)
+        gate_matrix(MGL1, (0.3, 0.1, 0.5, eta))
     with pytest.raises(ValueError):
-        gate_mixer_lossy_correlated(0.3, 0.1, eta)
+        gate_matrix(MGL2, (0.3, 0.1, eta))
 
 
 @pytest.mark.parametrize("theta", ANGLES)
 @pytest.mark.parametrize("phi", [0.0, 2 * math.pi / 3])
 @pytest.mark.parametrize("eta", ETAS)
 def test_lossy_gates_unitary_over_grid(theta, phi, eta):
-    assert unitary_defect(gate_mixer_lossy_uncorrelated(theta, phi, eta, 1 - eta)) < 1e-10
-    assert unitary_defect(gate_mixer_lossy_correlated(theta, phi, eta)) < 1e-10
+    assert unitary_defect(gate_matrix(MGL1, (theta, phi, eta, 1 - eta))) < 1e-10
+    assert unitary_defect(gate_matrix(MGL2, (theta, phi, eta))) < 1e-10
 
 
 angle = st.floats(min_value=-1e6, max_value=1e6)
@@ -91,33 +93,33 @@ eta = st.floats(min_value=0.0, max_value=1.0)
 
 @given(theta=angle, phi=angle, eta1=eta, eta2=eta)
 def test_all_builders_unitary_for_arbitrary_parameters(theta, phi, eta1, eta2):
-    assert unitary_defect(gate_phase(phi)) < 1e-10
-    assert unitary_defect(gate_mixer(theta, phi)) < 1e-10
-    assert unitary_defect(gate_mixer_lossy_uncorrelated(theta, phi, eta1, eta2)) < 1e-10
-    assert unitary_defect(gate_mixer_lossy_correlated(theta, phi, eta1)) < 1e-10
+    assert unitary_defect(gate_matrix(GateType.PHASE, (phi,))) < 1e-10
+    assert unitary_defect(gate_matrix(GateType.MIXER, (theta, phi))) < 1e-10
+    assert unitary_defect(gate_matrix(MGL1, (theta, phi, eta1, eta2))) < 1e-10
+    assert unitary_defect(gate_matrix(MGL2, (theta, phi, eta1))) < 1e-10
 
 
 @pytest.mark.parametrize("theta, phi", [(0.4, 1.1), (math.pi / 4, 2 * math.pi / 3)])
 def test_uncorrelated_no_loss_limit(theta, phi):
-    u = gate_mixer_lossy_uncorrelated(theta, phi, 1.0, 1.0)
+    u = gate_matrix(MGL1, (theta, phi, 1.0, 1.0))
     expected = np.eye(4, dtype=complex)
-    expected[:2, :2] = gate_mixer(theta, phi)
+    expected[:2, :2] = gate_matrix(GateType.MIXER, (theta, phi))
     assert np.allclose(u, expected, rtol=0, atol=1e-10)
 
 
 def test_uncorrelated_full_loss_empties_observed_block():
-    u = gate_mixer_lossy_uncorrelated(0.7, 0.3, 0.0, 0.0)
+    u = gate_matrix(MGL1, (0.7, 0.3, 0.0, 0.0))
     assert np.max(np.abs(u[:2, :2])) < 1e-12
 
 
 def test_uncorrelated_half_loss_unitary():
-    u = gate_mixer_lossy_uncorrelated(math.pi / 4, 0.0, 0.5, 0.5)
+    u = gate_matrix(MGL1, (math.pi / 4, 0.0, 0.5, 0.5))
     assert unitary_defect(u) < 1e-10
 
 
 def test_correlated_no_loss_limit():
-    m = gate_mixer(0.9, 0.2)
-    u = gate_mixer_lossy_correlated(0.9, 0.2, 1.0)
+    m = gate_matrix(GateType.MIXER, (0.9, 0.2))
+    u = gate_matrix(MGL2, (0.9, 0.2, 1.0))
     assert np.allclose(u[:2, :2], m, rtol=0, atol=1e-10)
     assert np.max(np.abs(u[:2, 2:])) < 1e-12
     assert np.max(np.abs(u[2:, :2])) < 1e-12
@@ -125,21 +127,21 @@ def test_correlated_no_loss_limit():
 
 
 def test_correlated_full_loss_empties_observed_block():
-    u = gate_mixer_lossy_correlated(0.9, 0.2, 0.0)
+    u = gate_matrix(MGL2, (0.9, 0.2, 0.0))
     assert np.max(np.abs(u[:2, :2])) < 1e-12
 
 
 def test_correlated_observed_block_scales_reference():
     # sqrt(0.36) = 0.6 exactly, so the observed block is 0.6 x the
     # reference mixer matrix
-    u = gate_mixer_lossy_correlated(math.pi / 4, 2 * math.pi / 3, 0.36)
+    u = gate_matrix(MGL2, (math.pi / 4, 2 * math.pi / 3, 0.36))
     assert np.max(np.abs(u[:2, :2] - 0.6 * MIXER_REFERENCE)) < 1e-8
 
 
 def test_gate_matrix_dispatch_and_arity():
     assert np.allclose(gate_matrix(GateType.PHASE, (0.0,)), np.eye(1),
                        rtol=0, atol=1e-10)
-    assert gate_matrix(GateType.MIXER_LOSSY_CORRELATED, (0.1, 0.2, 0.9)).shape == (4, 4)
+    assert gate_matrix(MGL2, (0.1, 0.2, 0.9)).shape == (4, 4)
     with pytest.raises(ValueError):
         gate_matrix(GateType.MIXER, (0.1,))
     with pytest.raises(ValueError):

@@ -142,22 +142,6 @@ def test_pinned_params_are_checked_before_any_evaluation(monkeypatch):
         assert [v.rule for v in err.value.diagnostics.violations] == ["R4"]
 
 
-def count_checks(monkeypatch) -> list[str]:
-    """Record every check_static/check_structure call, at every binding."""
-    calls: list[str] = []
-    for name in ("check_static", "check_structure"):
-        original = getattr(boskit.circuit, name)
-
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
-
-        for module in (boskit.circuit, boskit.engine, boskit.optimizer):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 # The train-lossy benchmark workload: a 3-mode 2xMGL2 template and a teacher.
 TRAIN_TEMPLATE = Circuit(3, (
     GateSpec(GateType.MIXER_LOSSY_CORRELATED, (0, 1), (0.0, 0.0, 0.5)),
@@ -170,19 +154,17 @@ TRAIN_TEACHER = Circuit(3, (
 TRAIN_PAIRS = tuple((inp, prob_fn(TRAIN_TEACHER, inp)) for inp in ((1, 1, 0), (0, 1, 1)))
 
 
-def test_validation_runs_once_at_the_boundary(monkeypatch):
-    calls = count_checks(monkeypatch)
-
+def test_validation_runs_once_at_the_boundary(check_calls):
     prob_fn(TRAIN_TEACHER, (1, 1, 0))
-    assert len(calls) == 1
+    assert len(check_calls) == 1
 
     for n_train in (1, 4):
         problem = OptProblem(TRAIN_TEMPLATE, TRAIN_PAIRS, n_train=n_train, objective="l2")
         for init_params in (None, [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]):
-            calls.clear()
+            check_calls.clear()
             result = opt_config(problem, init_params=init_params)
             assert len(result.loss_history) == n_train
-            assert len(calls) <= len(TRAIN_PAIRS) + 1
+            assert len(check_calls) <= len(TRAIN_PAIRS) + 1
 
 
 def test_gate_parameters_are_checked_once_per_gate(monkeypatch):
