@@ -8,9 +8,9 @@ n_modes + 2 * (number of lossy gates) modes in a reproducible layout.
 
 Circuits are plain data and may be constructed in malformed states;
 `check_static` and its input-independent subset `check_structure` are
-the one home of the rules R1-R5 (R3 included: `GateSpec` keeps modes as
-given) and return diagnostics instead of raising.  The public
-`assemble_transfer_matrix` runs `check_structure` and raises
+the one home of the rules R1-R5 (R3 and R4 included: `GateSpec` keeps
+modes and params as given) and return diagnostics instead of raising.
+The public `assemble_transfer_matrix` runs `check_structure` and raises
 `StaticSemanticsError` carrying its diagnostics; the internal
 `_assemble` assumes a circuit that has already passed those checks.
 """
@@ -34,7 +34,7 @@ class GateSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "params", tuple(float(p) for p in self.params))
+        object.__setattr__(self, "params", tuple(self.params))
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,8 @@ def check_static(circuit: Circuit, input_state: Sequence[int]) -> StaticDiagnost
     Rules: R1 input length equals the mode count; R2 gates act on the
     right number of distinct modes; R3 the mode count is a positive
     integer and every mode index an integer in range; R4
-    parameter arity/finiteness/ranges per gate type; R5 input
+    parameter arity, and each parameter a finite real number (not a
+    bool) within its gate type's range; R5 input
     occupations are non-negative integers.
     """
     found = _structural_violations(circuit)

@@ -13,6 +13,7 @@ circuit's concern: `boskit.circuit` owns the R2 and R3 rules.
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,7 +74,9 @@ def param_violations(gate_type: GateType, values: Sequence[float]) -> list[str]:
                 f"({', '.join(gate_type.param_names)}), got {len(values)}"]
     found = []
     for param, value in zip(params, values):
-        if not math.isfinite(value):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            found.append(f"parameter {param.name} must be a real number, got {value!r}")
+        elif not math.isfinite(value):
             found.append(f"parameter {param.name} must be finite, got {value}")
         elif not param.lo <= value <= param.hi:
             found.append(f"parameter {param.name} must lie in "
@@ -157,7 +160,8 @@ def gate_matrix(gate_type: GateType, params: tuple[float, ...]) -> np.ndarray:
 
     Each gate type's matrix is defined on its builder in `GATES`.
     Raises ValueError, naming the first problem `param_violations`
-    finds, on a wrong parameter count or an out-of-range value.
+    finds, on a wrong parameter count, a value that is not a real
+    number, or an out-of-range value.
     """
     problems = param_violations(gate_type, params)
     if problems:

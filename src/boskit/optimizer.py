@@ -78,7 +78,7 @@ def _with_params(template: Circuit, values: np.ndarray) -> Circuit:
     for gate in template.gates:
         k = len(gate.params)
         gates.append(GateSpec(gate.gate_type, gate.modes,
-                              tuple(values[at:at + k])))
+                              tuple(values[at:at + k].tolist())))
         at += k
     return Circuit(template.n_modes, tuple(gates))
 

@@ -62,6 +62,17 @@ def test_r4_param_arity_and_range():
     assert [v.rule for v in check_static(c, (1, 1)).violations] == ["R4"]
     c = Circuit(2, (GateSpec(GateType.MIXER, (0, 1), (math.nan, 0.0)),))
     assert [v.rule for v in check_static(c, (1, 1)).violations] == ["R4"]
+    # values that are not real numbers are refused, not converted
+    for value in ("0.5", True, 1 + 0j):
+        c = Circuit(1, (GateSpec(GateType.PHASE, (0,), (value,)),))
+        assert c.gates[0].params == (value,)
+        assert [v.rule for v in check_static(c, (1,)).violations] == ["R4"]
+        assert [v.rule for v in check_structure(c).violations] == ["R4"]
+        with pytest.raises(ValueError, match="must be a real number"):
+            gate_matrix(GateType.PHASE, (value,))
+    c = Circuit(1, (GateSpec(GateType.PHASE, (0,), (np.float64(0.5),)),
+                    GateSpec(GateType.PHASE, (0,), (1,))))
+    assert check_structure(c).ok
 
 
 def test_r5_negative_and_fractional_input():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import boskit.engine
 import boskit.fock
 from boskit.circuit import Circuit, GateSpec, StaticSemanticsError, assemble_transfer_matrix
 from boskit.engine import (PermanentSizeError, distance_l2, distance_tv,
@@ -11,7 +12,10 @@ from boskit.fock import EnumerationCapError, enumerate_fock_states
 from boskit.gates import GateType, gate_matrix
 from boskit.sampler import rng_from_seed
 
-from oracles import LOSSLESS_TYPES, brute_force_pmf, circuit_corpus, naive_permanent
+from oracles import (LOSSLESS_TYPES, brute_force_pmf, circuit_corpus,
+                     naive_permanent, random_circuit)
+
+LOSSY_TYPES = (GateType.MIXER_LOSSY_UNCORRELATED, GateType.MIXER_LOSSY_CORRELATED)
 
 
 def mixer_circuit(theta, phi=0.0):
@@ -49,6 +53,30 @@ def test_permanent_matches_naive_oracle():
 def test_permanent_rejects_bad_shapes():
     with pytest.raises(ValueError):
         permanent(np.ones((2, 3)))
+    with pytest.raises(PermanentSizeError):
+        permanent(np.ones((31, 31)))
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_batched_kernel_equals_permanent_bit_for_bit(n):
+    rng = rng_from_seed(67 + n)
+    for size in (1, 2, 5, 33):
+        stack = (rng.standard_normal((size, n, n))
+                 + 1j * rng.standard_normal((size, n, n)))
+        batched = boskit.engine._permanents(stack)
+        assert batched.shape == (size,)
+        for matrix, value in zip(stack, batched):
+            assert complex(value) == permanent(matrix)
+
+
+def test_permanent_size_is_checked_before_the_loop(monkeypatch):
+    def no_steps(n):
+        raise AssertionError(f"started a {n}-column Gray-code loop")
+
+    monkeypatch.setattr(boskit.engine, "_gray_code", no_steps)
+    # 31 photons in one mode: one output state, a 31 x 31 permanent (2^31 steps)
+    with pytest.raises(PermanentSizeError):
+        prob_fn(Circuit(1), (31,))
     with pytest.raises(PermanentSizeError):
         permanent(np.ones((31, 31)))
 
@@ -113,10 +141,12 @@ def test_prob_fn_matches_brute_force_oracle():
 
 
 def test_prob_fn_sums_output_amplitudes_bit_for_bit():
-    # prob_fn inlines the amplitude loop; summing the checked public
-    # amplitudes in enumeration order must give the very same floats
+    # prob_fn batches the amplitude loop; on lossless circuits summing the
+    # checked public amplitudes in enumeration order must give the very
+    # same floats.  Lossy circuits go through loss-mode compression, which
+    # changes the rounding but not the key set.
     rng = rng_from_seed(61)
-    lossy = 0
+    lossless = lossy = 0
     for circuit in circuit_corpus(seed=59, count=40, max_modes=4, max_gates=3):
         n_photons = int(rng.integers(0, 4))
         input_state = tuple(int(n) for n in rng.multinomial(
@@ -128,9 +158,59 @@ def test_prob_fn_sums_output_amplitudes_bit_for_bit():
             key = extended_output[:circuit.n_modes]
             amp = output_amplitude(u, extended_input, extended_output)
             expected[key] = expected.get(key, 0.0) + abs(amp) ** 2
-        assert prob_fn(circuit, input_state) == expected
-        lossy += circuit.n_loss_modes > 0
-    assert lossy >= 10
+        got = prob_fn(circuit, input_state)
+        if circuit.n_loss_modes == 0:
+            assert got == expected
+            lossless += 1
+        else:
+            assert list(got) == list(expected)
+            assert all(abs(got[k] - p) <= 1e-14 for k, p in expected.items())
+            lossy += 1
+    assert lossless >= 10 and lossy >= 10
+
+
+def test_compressed_loss_modes_match_brute_force_oracle():
+    # 6-8 lossy gates own 12-16 loss modes, far more than the <= 3
+    # occupied input modes, so compression drops most of them
+    rng = rng_from_seed(71)
+    for _ in range(8):
+        circuit = random_circuit(rng, 3, int(rng.integers(6, 9)), LOSSY_TYPES)
+        n_photons = int(rng.integers(1, 4))
+        input_state = tuple(int(n) for n in rng.multinomial(n_photons, [1 / 3] * 3))
+        u = assemble_transfer_matrix(circuit)
+        expected = brute_force_pmf(u, input_state + (0,) * circuit.n_loss_modes, 3)
+        got = prob_fn(circuit, input_state)
+        assert set(got) == set(expected)
+        for state, p in expected.items():
+            assert abs(got[state] - p) <= 1e-12
+
+
+def test_basis_spans_observed_plus_compressed_loss_modes(monkeypatch):
+    calls = []
+
+    def recording(n_photons, n_modes):
+        calls.append(n_modes)
+        return enumerate_fock_states(n_photons, n_modes)
+
+    monkeypatch.setattr(boskit.engine, "enumerate_fock_states", recording)
+    mesh = [GateSpec(GateType.MIXER, modes, (0.4, 0.2))
+            for modes in ((0, 1), (2, 3), (1, 2), (0, 1), (2, 3), (1, 2))]
+    lossy = [GateSpec(GateType.MIXER_LOSSY_CORRELATED, (0, 1), (0.3, 0.1, 0.8)),
+             GateSpec(GateType.MIXER_LOSSY_UNCORRELATED, (1, 2), (0.5, 0.2, 0.9, 0.7))]
+    # the eval-lossy structure: 4 modes, 6 lossy mixers (L = 12), d = 3
+    eval_lossy = Circuit(4, tuple(mesh + lossy * 3))
+    one_lossy = Circuit(3, (lossy[0],))  # L = 2 < d = 3
+    cases = [(eval_lossy, (1, 1, 1, 0), 4 + 3),
+             (eval_lossy, (2, 0, 0, 0), 4 + 1),
+             (eval_lossy, (0, 0, 0, 0), 4 + 0),
+             (one_lossy, (1, 1, 1), 3 + 2),
+             (Circuit(4, tuple(mesh)), (1, 1, 1, 0), 4)]
+    for circuit, input_state, n_modes in cases:
+        calls.clear()
+        pmf = prob_fn(circuit, input_state)
+        assert calls == [n_modes]
+        assert pmf_mass(pmf) == pytest.approx(1.0, abs=1e-12)
+    assert eval_lossy.n_total_modes == 16
 
 
 def test_lossless_limit_of_uncorrelated_equals_ideal():
