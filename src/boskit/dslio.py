@@ -29,7 +29,7 @@ import json
 from typing import Sequence
 
 from .circuit import Circuit, GateSpec
-from .fock import FockState, Pmf
+from .fock import FockState, Pmf, is_probability, is_real
 from .gates import GateType
 
 
@@ -81,8 +81,8 @@ def _as_int(value, where: str) -> int:
 
 
 def _as_real(value, where: str) -> float:
-    # Integer literals widen to reals; booleans do not.
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # Integer literals widen to reals; booleans and out-of-range integers do not.
+    if not is_real(value):
         raise DocumentTypeError(f"{where}: expected a real number, got {value!r}")
     return float(value)
 
@@ -220,7 +220,7 @@ def _parse_pmf_entries(doc, where: str) -> Pmf:
         _require_keys(entry, ("state", "prob"), where)
         state = _occupations(entry["state"], f"{where}.state")
         prob = _as_real(entry["prob"], f"{where}.prob")
-        if not 0.0 <= prob <= 1.0 + 1e-9:
+        if not is_probability(prob):
             raise DocumentTypeError(f"{where}: probability {prob} outside [0, 1]")
         if state in pmf:
             raise DocumentTypeError(f"{where}: duplicate state {list(state)}")

@@ -29,8 +29,8 @@ enumeration order.  Lossless pmfs are therefore bit-identical to summing
 rounding only.
 
 The public entries `prob_fn` and `output_amplitude` validate their
-arguments; the internal `_evaluate` assumes checked input and returns
-the full pmf.  The one evaluation setting is `prob_fn`'s `threshold`.
+arguments; the internal `_evaluate` checks only the photon total and
+returns the full pmf.  The one evaluation setting is `prob_fn`'s `threshold`.
 """
 
 import math
@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .circuit import Circuit, _assemble, check_static
-from .fock import FockState, Pmf, enumerate_fock_states, is_occupation
+from .fock import FockState, Pmf, enumerate_fock_states, is_occupation, is_real
 
 # Permanents are O(2^n * n); anything larger than this is intractable here.
 MAX_PERMANENT_SIZE = 30
@@ -52,7 +52,7 @@ class PermanentSizeError(ValueError):
 # B * 30 * 30 complex entries however large the basis.
 _BLOCK = 1024
 
-_FACTORIALS = tuple(math.factorial(n) for n in range(21))
+_FACTORIALS = tuple(math.factorial(n) for n in range(MAX_PERMANENT_SIZE + 1))
 
 
 def permanent(matrix: np.ndarray) -> complex:
@@ -66,6 +66,12 @@ def permanent(matrix: np.ndarray) -> complex:
     return complex(_permanents(matrix[np.newaxis])[0])
 
 
+def _check_permanent_size(n: int) -> None:
+    if n > MAX_PERMANENT_SIZE:
+        raise PermanentSizeError(
+            f"matrix of size {n} exceeds the {MAX_PERMANENT_SIZE} limit")
+
+
 def _permanents(stack: np.ndarray) -> np.ndarray:
     """Permanents of a (B, n, n) stack of complex matrices, in one Gray-code pass.
 
@@ -73,9 +79,7 @@ def _permanents(stack: np.ndarray) -> np.ndarray:
     `permanent` and the batched engine agree bit for bit.
     """
     n = stack.shape[1]
-    if n > MAX_PERMANENT_SIZE:
-        raise PermanentSizeError(
-            f"matrix of size {n} exceeds the {MAX_PERMANENT_SIZE} limit")
+    _check_permanent_size(n)
     if n == 0:
         return np.ones(len(stack), dtype=complex)
     # columns[j] holds column j of every matrix as a contiguous (B, n) block
@@ -122,7 +126,7 @@ def _mode_repeats(state: FockState) -> list[int]:
 def _factorial_product(state: FockState) -> int:
     prod = 1
     for n in state:
-        prod *= _FACTORIALS[n] if n < len(_FACTORIALS) else math.factorial(n)
+        prod *= _FACTORIALS[n]  # n <= MAX_PERMANENT_SIZE: totals are checked first
     return prod
 
 
@@ -152,6 +156,7 @@ def output_amplitude(u: np.ndarray, input_state: FockState,
         raise ValueError(
             f"photon totals differ: {sum(input_state)} in, "
             f"{sum(output_state)} out")
+    _check_permanent_size(sum(input_state))
     sub = u[np.ix_(_mode_repeats(output_state), _mode_repeats(input_state))]
     norm = math.sqrt(_factorial_product(input_state) * _factorial_product(output_state))
     return permanent(sub) / norm
@@ -168,12 +173,12 @@ def prob_fn(circuit: Circuit, input_state, *, threshold: float = 0.0) -> Pmf:
     the rest are not renormalised; with the default 0 the probabilities
     sum to 1.
 
-    Raises ValueError unless 0 <= threshold < 1, then runs `check_static`
-    once, raising StaticSemanticsError on a malformed circuit/input pair,
-    and raises EnumerationCapError when the output basis is too large.
+    Raises ValueError unless `threshold` is a real in [0, 1), then runs
+    `check_static` once (StaticSemanticsError); PermanentSizeError and
+    EnumerationCapError come before any output state is built.
     """
-    if not 0.0 <= threshold < 1.0:
-        raise ValueError(f"threshold must lie in [0, 1), got {threshold}")
+    if not (is_real(threshold) and 0.0 <= threshold < 1.0):
+        raise ValueError(f"threshold must lie in [0, 1), got {threshold!r}")
     input_state = tuple(input_state)
     check_static(circuit, input_state).raise_if_violated()
     pmf = _evaluate(_assemble(circuit), circuit.n_modes, input_state)
@@ -183,10 +188,12 @@ def prob_fn(circuit: Circuit, input_state, *, threshold: float = 0.0) -> Pmf:
 
 
 def _evaluate(u: np.ndarray, n_observed: int, input_state: FockState) -> Pmf:
-    """The full pmf from the transfer matrix `u` of a checked circuit; checks nothing.
+    """The full pmf from the transfer matrix `u` of a checked circuit.
 
     `input_state` covers the first `n_observed` modes; the rest are loss modes.
+    Only its photon total is checked, before any per-photon work.
     """
+    _check_permanent_size(sum(input_state))
     occupied = [mode for mode, n in enumerate(input_state) if n]
     v = u[:, occupied]
     if u.shape[0] > n_observed:  # compress the loss modes

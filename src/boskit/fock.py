@@ -2,10 +2,14 @@
 
 A Fock state is a tuple of per-mode photon counts.  Matrices are plain
 complex128 numpy arrays.  A pmf is a dict mapping Fock states to
-probabilities; it may sum to less than 1 after thresholding.
+probabilities; it may sum to less than 1 after thresholding.  The one
+rule per kind of library input lives here too, applied once where the
+input enters: `is_occupation` (counts, seeds), `is_real`, `is_probability`.
 """
 
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -23,6 +27,17 @@ class EnumerationCapError(ValueError):
 def is_occupation(n) -> bool:
     """Whether `n` is a valid photon count: a non-negative integer, not a bool."""
     return isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 0
+
+
+def is_real(x) -> bool:
+    """Whether `x` is a real number in the double range (nan and inf count), not a bool."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and not (isinstance(x, int) and abs(x) > sys.float_info.max))
+
+
+def is_probability(p) -> bool:
+    """Whether `p` is a real in [0, 1], allowing 1e-9 of rounding above 1."""
+    return is_real(p) and 0.0 <= p <= 1.0 + 1e-9
 
 
 def enumerate_fock_states(n_photons: int, n_modes: int) -> list[FockState]:

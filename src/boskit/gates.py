@@ -13,11 +13,12 @@ circuit's concern: `boskit.circuit` owns the R2 and R3 rules.
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .fock import is_real
 
 
 class GateType(enum.Enum):
@@ -74,7 +75,7 @@ def param_violations(gate_type: GateType, values: Sequence[float]) -> list[str]:
                 f"({', '.join(gate_type.param_names)}), got {len(values)}"]
     found = []
     for param, value in zip(params, values):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        if not is_real(value):
             found.append(f"parameter {param.name} must be a real number, got {value!r}")
         elif not math.isfinite(value):
             found.append(f"parameter {param.name} must be finite, got {value}")

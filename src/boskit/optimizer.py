@@ -7,8 +7,8 @@ the recorded loss history never increases and the returned parameters
 are the best seen.  Several (input, target) pairs may share one
 parameter set, which trains the circuit as a classifier.
 
-`opt_config` validates its arguments once; the objective then calls the
-engine's unchecked `_evaluate` on parameters clipped into range.
+`OptProblem` is plain data that `opt_config` checks once; the objective
+then calls the engine's `_evaluate` on parameters clipped into range.
 """
 
 import math
@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuit import Circuit, GateSpec, _assemble, check_static, check_structure
 from .engine import _evaluate, distance_l2, distance_tv
-from .fock import FockState, Pmf
+from .fock import FockState, Pmf, is_occupation, is_probability, is_real
 from .gates import GateType
 from .sampler import rng_from_seed
 
@@ -38,7 +38,7 @@ class NonFiniteObjectiveError(ArithmeticError):
 
 @dataclass(frozen=True)
 class OptProblem:
-    """A circuit template (gate types/positions fixed) plus training pairs."""
+    """Template (gate types/positions fixed) and training pairs; `opt_config` checks it."""
 
     circuit_template: Circuit
     pairs: tuple[tuple[FockState, Pmf], ...]
@@ -46,17 +46,6 @@ class OptProblem:
     step_size: float = 0.25
     seed: int = 0
     objective: str = "tv"
-
-    def __post_init__(self):
-        if not self.pairs:
-            raise ValueError("at least one (input, target) pair is required")
-        if self.n_train < 1:
-            raise ValueError("n_train must be positive")
-        if self.step_size <= 0:
-            raise ValueError("step_size must be positive")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(
-                f"objective must be one of {sorted(OBJECTIVES)}, got {self.objective!r}")
 
 
 @dataclass(frozen=True)
@@ -72,13 +61,12 @@ def _param_bounds(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     return np.array([p.lo for p in params]), np.array([p.hi for p in params])
 
 
-def _with_params(template: Circuit, values: np.ndarray) -> Circuit:
+def _with_params(template: Circuit, values: Sequence) -> Circuit:
     gates = []
     at = 0
     for gate in template.gates:
         k = len(gate.params)
-        gates.append(GateSpec(gate.gate_type, gate.modes,
-                              tuple(values[at:at + k].tolist())))
+        gates.append(GateSpec(gate.gate_type, gate.modes, tuple(values[at:at + k])))
         at += k
     return Circuit(template.n_modes, tuple(gates))
 
@@ -95,26 +83,21 @@ def _random_params(template: Circuit, rng: np.random.Generator) -> np.ndarray:
 
 
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray,
-                h: float = FD_STEP,
-                lower: np.ndarray | None = None,
-                upper: np.ndarray | None = None) -> np.ndarray:
+                lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Central-difference gradient estimate, clipping probes into bounds.
 
-    Interior parameters get exact central differences with step `h`;
+    Interior parameters get exact central differences with step FD_STEP;
     at a bound the probe is clipped and the difference quotient uses
     the actual probe separation.
     """
     grad = np.zeros_like(x)
     for i in range(len(x)):
-        lo = -np.inf if lower is None else lower[i]
-        hi = np.inf if upper is None else upper[i]
         x_plus, x_minus = x.copy(), x.copy()
-        x_plus[i] = min(x[i] + h, hi)
-        x_minus[i] = max(x[i] - h, lo)
+        x_plus[i] = min(x[i] + FD_STEP, upper[i])
+        x_minus[i] = max(x[i] - FD_STEP, lower[i])
         span = x_plus[i] - x_minus[i]
-        if span == 0.0:
-            continue
-        grad[i] = (fn(x_plus) - fn(x_minus)) / span
+        if span:
+            grad[i] = (fn(x_plus) - fn(x_minus)) / span
     return grad
 
 
@@ -123,7 +106,7 @@ def _make_objective(problem: OptProblem) -> Callable[[np.ndarray], float]:
     n_modes = problem.circuit_template.n_modes
 
     def objective(values: np.ndarray) -> float:
-        u = _assemble(_with_params(problem.circuit_template, values))
+        u = _assemble(_with_params(problem.circuit_template, values.tolist()))
         loss = sum(distance(_evaluate(u, n_modes, inp), target)
                    for inp, target in problem.pairs)
         if not math.isfinite(loss):
@@ -143,43 +126,52 @@ def opt_config(problem: OptProblem,
     falls below 1e-6; `final_loss` is the last recorded entry and equals
     the objective of the returned configuration.
 
-    The template with each pair's input, each target's mode count and
-    any pinned `init_params` are checked once, before any evaluation;
-    the objective then assembles without re-checking gate parameters and
-    compares each target with the full, unthresholded pmf.
+    The problem and any pinned `init_params` (as given) are checked once,
+    before any evaluation; the objective then assembles without
+    re-checking gate parameters and compares each target with the full,
+    unthresholded pmf.
     """
+    template, n_train, step = problem.circuit_template, problem.n_train, problem.step_size
+    if not problem.pairs:
+        raise ValueError("at least one (input, target) pair is required")
+    if not (is_occupation(n_train) and n_train >= 1):
+        raise ValueError(f"n_train must be a positive integer, got {n_train!r}")
+    if not (is_real(step) and 0.0 < step < math.inf):
+        raise ValueError(f"step_size must be finite and positive, got {step!r}")
+    if problem.objective not in OBJECTIVES:
+        raise ValueError(
+            f"objective must be one of {sorted(OBJECTIVES)}, got {problem.objective!r}")
+    rng = rng_from_seed(problem.seed)
     for inp, target in problem.pairs:
-        check_static(problem.circuit_template, tuple(inp)).raise_if_violated()
-        for state in target:
-            if len(state) != problem.circuit_template.n_modes:
-                raise ValueError(
-                    f"target state {list(state)} does not match the "
-                    f"{problem.circuit_template.n_modes}-mode template")
+        check_static(template, tuple(inp)).raise_if_violated()
+        for state, p in target.items():
+            if not (isinstance(state, tuple) and len(state) == template.n_modes
+                    and all(map(is_occupation, state)) and is_probability(p)):
+                raise ValueError(f"target entry {state!r}: {p!r} is not a probability "
+                                 f"of a {template.n_modes}-mode occupation tuple")
 
     objective = _make_objective(problem)
-    lower, upper = _param_bounds(problem.circuit_template)
+    lower, upper = _param_bounds(template)
     if init_params is not None:
+        if len(init_params) != len(lower):
+            raise ValueError(f"expected {len(lower)} parameters, got {len(init_params)}")
+        check_structure(_with_params(template, init_params)).raise_if_violated()
         params = np.array(init_params, dtype=float)
-        if params.shape != lower.shape:
-            raise ValueError(
-                f"expected {len(lower)} parameters, got {len(params)}")
-        check_structure(_with_params(problem.circuit_template, params)).raise_if_violated()
     else:
-        params = _random_params(problem.circuit_template,
-                                rng_from_seed(problem.seed))
+        params = _random_params(template, rng)
 
     loss = objective(params)
     history = [loss]
-    for _ in range(problem.n_train - 1):
+    for _ in range(n_train - 1):
         if loss < STOP_LOSS or len(params) == 0:
             break
         grad = fd_gradient(objective, params, lower=lower, upper=upper)
-        candidate = np.clip(params - problem.step_size * grad, lower, upper)
+        candidate = np.clip(params - step * grad, lower, upper)
         candidate_loss = objective(candidate)
         if candidate_loss <= loss:  # keep best-seen parameters
             params, loss = candidate, candidate_loss
         history.append(loss)
-    return OptResult(config=_with_params(problem.circuit_template, params),
+    return OptResult(config=_with_params(template, params.tolist()),
                      loss_history=tuple(history),
                      final_loss=history[-1])
 
@@ -217,19 +209,19 @@ def opt_structure(n_modes: int, n_gates_max: int,
     Restart streams are independent of `n_restarts`, so enlarging the
     budget can only improve the returned loss.
     """
-    if n_modes < 2:
-        raise ValueError(f"structure search needs at least 2 modes, got {n_modes}")
-    if n_gates_max < 0:
-        raise ValueError("n_gates_max must be non-negative")
-    if n_restarts < 1:
-        raise ValueError("n_restarts must be positive")
+    if not (is_occupation(n_modes) and n_modes >= 2):
+        raise ValueError(f"structure search needs at least 2 modes, got {n_modes!r}")
+    if not is_occupation(n_gates_max):
+        raise ValueError(f"n_gates_max must be a non-negative integer, got {n_gates_max!r}")
+    if not (is_occupation(n_restarts) and n_restarts >= 1):
+        raise ValueError(f"n_restarts must be a positive integer, got {n_restarts!r}")
     best: OptResult | None = None
     for restart in range(n_restarts):
         rng = rng_from_seed(seed, stream=restart + 1)
         template = _random_structure(n_modes, n_gates_max, rng)
         problem = OptProblem(circuit_template=template, pairs=tuple(pairs),
                              n_train=n_train, step_size=step_size,
-                             seed=(seed + restart) % 2 ** 64, objective=objective)
+                             seed=(int(seed) + restart) % 2 ** 64, objective=objective)
         result = opt_config(problem)
         if best is None or result.final_loss < best.final_loss:
             best = result

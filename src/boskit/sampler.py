@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, Pmf
+from .fock import FockState, Pmf, is_occupation
 
 MAX_SEED = 2 ** 64 - 1
 
@@ -24,16 +24,16 @@ class ShotRecord:
 
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator keyed by (seed, stream); the package-wide PRNG."""
-    if not 0 <= seed <= MAX_SEED:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if not (is_occupation(seed) and seed <= MAX_SEED):
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def sample(pmf: Pmf, n_shots: int, seed: int) -> ShotRecord:
     """Draw `n_shots` i.i.d. states from `pmf` renormalised to sum 1."""
-    if n_shots < 1:
-        raise ValueError(f"n_shots must be positive, got {n_shots}")
+    if not (is_occupation(n_shots) and n_shots >= 1):
+        raise ValueError(f"n_shots must be a positive integer, got {n_shots!r}")
     states = sorted(pmf, reverse=True)
     weights = np.array([pmf[s] for s in states], dtype=float)
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
@@ -51,7 +51,7 @@ def sample(pmf: Pmf, n_shots: int, seed: int) -> ShotRecord:
 
 def empirical_pmf(record: ShotRecord) -> Pmf:
     """Relative frequencies of the recorded shots."""
-    if record.n_shots < 1:
-        raise ValueError("empty shot record")
+    if not (is_occupation(record.n_shots) and record.n_shots >= 1):
+        raise ValueError(f"n_shots must be a positive integer, got {record.n_shots!r}")
     counts = Counter(record.shots)
     return {state: count / record.n_shots for state, count in counts.items()}

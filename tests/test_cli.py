@@ -136,6 +136,27 @@ def test_sample_golden_and_deterministic(tmp_path):
     assert out1.read_bytes() == (GOLDEN / "hom_seed7.boshots").read_bytes()
 
 
+def test_lossy_goldens(tmp_path):
+    # 3 modes, MG then MGL1 then MGL2: pins loss-mode compression and the
+    # marginal fold byte for byte
+    args = (fixture("lossy.bosc"), fixture("lossy.bosin"))
+    pmf, shots = tmp_path / "lossy.bospmf", tmp_path / "lossy.boshots"
+    assert cli.main(["eval", *args, "--out", str(pmf)]) == 0
+    assert cli.main(["sample", *args, "--shots", "1000", "--seed", "7",
+                     "--out", str(shots)]) == 0
+    assert pmf.read_bytes() == (GOLDEN / "lossy.bospmf").read_bytes()
+    assert shots.read_bytes() == (GOLDEN / "lossy_seed7.boshots").read_bytes()
+
+
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_optimize_rejects_non_finite_step(step, capsys):
+    code = cli.main(["optimize", fixture("template.bosc"),
+                     fixture("transmit_pairs.json"), "--step", step])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: step_size must be finite and positive, got {step}\n"
+
+
 def test_sample_without_out_prints_shots():
     proc = run_cli("sample", fixture("hom.bosc"), fixture("hom.bosin"),
                    "--shots", "5", "--seed", "7")

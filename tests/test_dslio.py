@@ -80,6 +80,9 @@ def test_serialize_reals_round_trip_exactly():
     ('{"modes": 2, "posn": [{"name": "MG", "modes": [0, 1]}], '
      '"config": [{"name": "MG", "theta": "big", "phi": 0}]}', DocumentTypeError),
     ('{"modes": 2, "posn": [{"name": "MG", "modes": [0, 1]}], '
+     '"config": [{"name": "MG", "theta": 0, "phi": 1' + "0" * 400 + '}]}',
+     DocumentTypeError),                                         # beyond a double
+    ('{"modes": 2, "posn": [{"name": "MG", "modes": [0, 1]}], '
      '"config": []}', DocumentAlignmentError),                   # length mismatch
     ('{"modes": 2, "posn": [{"name": "MG", "modes": [0, 1]}], '
      '"config": [{"name": "P", "phi": 0}]}', DocumentAlignmentError),

@@ -81,6 +81,19 @@ def test_permanent_size_is_checked_before_the_loop(monkeypatch):
         permanent(np.ones((31, 31)))
 
 
+def test_photon_total_is_checked_before_any_per_photon_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("did per-photon work before checking the photon total")
+
+    for name in ("_mode_repeats", "_factorial_product", "enumerate_fock_states"):
+        monkeypatch.setattr(boskit.engine, name, no_work)
+    # 10^5 photons: unchecked, the gathered stack alone would need ~149 TiB
+    with pytest.raises(PermanentSizeError):
+        prob_fn(HOM, (100_000, 0))
+    with pytest.raises(PermanentSizeError):
+        output_amplitude(np.eye(2), (100_000, 0), (0, 100_000))
+
+
 # --- output_amplitude ------------------------------------------------------
 
 def test_amplitude_identity_matrix():
@@ -289,9 +302,9 @@ def test_prob_fn_rejects_malformed_and_oversized(monkeypatch):
         raise AssertionError("built states before checking the cap")
 
     monkeypatch.setattr(boskit.fock, "_fill_states", no_states)
-    # 40 photons in 40 modes: C(79, 39) ~ 5e22 states, far above the 10^7 cap
+    # 30 photons in 40 modes: C(69, 39) ~ 3e19 states, far above the 10^7 cap
     with pytest.raises(EnumerationCapError):
-        prob_fn(Circuit(40), (1,) * 40)
+        prob_fn(Circuit(40), (1,) * 30 + (0,) * 10)
 
 
 @pytest.mark.parametrize("threshold", [1.0, -0.1, math.nan])

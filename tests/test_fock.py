@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,8 @@ from hypothesis import strategies as st
 
 import boskit.fock
 from boskit.engine import output_amplitude
-from boskit.fock import EnumerationCapError, enumerate_fock_states, is_occupation
+from boskit.fock import (EnumerationCapError, enumerate_fock_states, is_occupation,
+                         is_probability, is_real)
 
 from oracles import count_states
 
@@ -18,6 +22,14 @@ def test_occupation_rule_rejects_bad_states():
         output_amplitude(np.zeros((0, 0)), [], [])
     with pytest.raises(ValueError):
         output_amplitude(np.eye(2), [1, -1], [0, 0])
+
+
+def test_real_and_probability_rules():
+    assert all(is_real(x) for x in (0, -3, 2.5, math.nan, math.inf, np.float32(1),
+                                    np.int64(2), Fraction(1, 3), 10 ** 300))
+    assert not any(is_real(x) for x in (True, np.True_, "0.5", 1j, None, 10 ** 400))
+    assert all(is_probability(p) for p in (0, 1, 0.25, 1.0 + 1e-9, np.float64(0.5)))
+    assert not any(is_probability(p) for p in (-0.5, 1.5, math.nan, True, "0.5"))
 
 
 def test_enumerate_zero_photons():
