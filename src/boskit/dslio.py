@@ -29,7 +29,7 @@ import json
 from typing import Sequence
 
 from .circuit import Circuit, GateSpec
-from .fock import FockState, Pmf, is_probability, is_real
+from .fock import FockState, Pmf, is_probability, is_real, is_state
 from .gates import GateType
 
 
@@ -63,6 +63,8 @@ def _load_json(text: str, what: str):
         raise DocumentSyntaxError(
             f"malformed {what} document at line {exc.lineno}, "
             f"column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentSyntaxError(f"{what} document is nested too deeply") from None
 
 
 def _require_keys(obj: dict, required: Sequence[str], where: str) -> None:
@@ -87,14 +89,14 @@ def _as_real(value, where: str) -> float:
     return float(value)
 
 
-def _occupations(value, where: str) -> FockState:
-    """A JSON array of non-negative integers, as a Fock state (possibly empty)."""
-    if not isinstance(value, list):
-        raise DocumentTypeError(f"{where} must be an array of occupation numbers")
-    state = tuple(_as_int(n, where) for n in value)
-    if any(n < 0 for n in state):
+def _occupations(value, where: str, n_modes: int | None = None) -> FockState:
+    """A JSON array that passes `is_state` over `n_modes` modes (by default,
+    over its own length), as a Fock state."""
+    state = tuple(value) if isinstance(value, list) else ()
+    if not is_state(state, len(state) if n_modes is None else n_modes):
         raise DocumentTypeError(
-            f"{where}: occupation numbers must be non-negative, got {list(state)}")
+            f"{where} must be an array of {n_modes or 'one or more'} "
+            f"non-negative integers")
     return state
 
 
@@ -182,10 +184,7 @@ def serialize_circuit(circuit: Circuit) -> str:
 
 def parse_input(text: str) -> FockState:
     """Parse an input document: a JSON array of non-negative integers."""
-    state = _occupations(_load_json(text, "input"), "input")
-    if not state:
-        raise DocumentTypeError("input document must be a non-empty JSON array")
-    return state
+    return _occupations(_load_json(text, "input"), "input")
 
 
 def serialize_input(state: FockState) -> str:
@@ -208,7 +207,8 @@ def serialize_pmf(pmf: Pmf) -> str:
     return "[\n  " + ",\n  ".join(lines) + "\n]\n"
 
 
-def _parse_pmf_entries(doc, where: str) -> Pmf:
+def _parse_pmf_entries(doc, where: str, n_modes: int | None = None) -> Pmf:
+    """Pmf entries whose states share one mode count: `n_modes`, or the first state's."""
     if not isinstance(doc, list):
         raise DocumentTypeError(f"{where} must be a JSON array")
     pmf: Pmf = {}
@@ -218,7 +218,8 @@ def _parse_pmf_entries(doc, where: str) -> Pmf:
         if set(entry) == {"retained_mass"}:
             continue
         _require_keys(entry, ("state", "prob"), where)
-        state = _occupations(entry["state"], f"{where}.state")
+        state = _occupations(entry["state"], f"{where}.state", n_modes)
+        n_modes = len(state)
         prob = _as_real(entry["prob"], f"{where}.prob")
         if not is_probability(prob):
             raise DocumentTypeError(f"{where}: probability {prob} outside [0, 1]")
@@ -246,9 +247,8 @@ def parse_pairs(text: str) -> list[tuple[FockState, Pmf]]:
             raise DocumentTypeError(f"pairs[{i}] must be an object")
         _require_keys(entry, ("input", "target"), f"pairs[{i}]")
         state = _occupations(entry["input"], f"pairs[{i}].input")
-        if not state:
-            raise DocumentTypeError(f"pairs[{i}].input must be a non-empty array")
-        pairs.append((state, _parse_pmf_entries(entry["target"], f"pairs[{i}].target")))
+        pairs.append((state, _parse_pmf_entries(entry["target"], f"pairs[{i}].target",
+                                                len(state))))
     return pairs
 
 

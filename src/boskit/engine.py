@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from .circuit import Circuit, _assemble, check_static
-from .fock import FockState, Pmf, enumerate_fock_states, is_occupation, is_real
+from .fock import FockState, Pmf, enumerate_fock_states, is_real, is_state
 
 # Permanents are O(2^n * n); anything larger than this is intractable here.
 MAX_PERMANENT_SIZE = 30
@@ -134,8 +134,8 @@ def output_amplitude(u: np.ndarray, input_state: FockState,
                      output_state: FockState) -> complex:
     """Checked transition amplitude from `input_state` to `output_state` through `u`.
 
-    Both states must be non-empty sequences of non-negative integer
-    occupations (the R5 rule), as long as `u` is square, with equal totals.
+    `u` must be square and both states, as sequences, must pass `is_state`
+    over its mode count, with equal totals.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
@@ -143,15 +143,8 @@ def output_amplitude(u: np.ndarray, input_state: FockState,
     input_state = tuple(input_state)
     output_state = tuple(output_state)
     for state in (input_state, output_state):
-        if not state:
-            raise ValueError("a Fock state needs at least one mode")
-        if not all(is_occupation(n) for n in state):
-            raise ValueError(
-                f"occupations must be non-negative integers, got {state}")
-    if len(input_state) != u.shape[0] or len(output_state) != u.shape[0]:
-        raise ValueError(
-            f"states of lengths {len(input_state)}/{len(output_state)} do not "
-            f"match a {u.shape[0]}-mode matrix")
+        if not is_state(state, u.shape[0]):
+            raise ValueError(f"{state} is not a Fock state of a {u.shape[0]}-mode matrix")
     if sum(input_state) != sum(output_state):
         raise ValueError(
             f"photon totals differ: {sum(input_state)} in, "

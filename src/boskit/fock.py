@@ -4,7 +4,9 @@ A Fock state is a tuple of per-mode photon counts.  Matrices are plain
 complex128 numpy arrays.  A pmf is a dict mapping Fock states to
 probabilities; it may sum to less than 1 after thresholding.  The one
 rule per kind of library input lives here too, applied once where the
-input enters: `is_occupation` (counts, seeds), `is_real`, `is_probability`.
+input enters; there are four: `is_occupation` (counts, seeds), `is_real`,
+`is_probability` and `is_state` (Fock states, in the library and in
+documents alike).
 """
 
 import math
@@ -38,6 +40,13 @@ def is_real(x) -> bool:
 def is_probability(p) -> bool:
     """Whether `p` is a real in [0, 1], allowing 1e-9 of rounding above 1."""
     return is_real(p) and 0.0 <= p <= 1.0 + 1e-9
+
+
+def is_state(s, n_modes: int) -> bool:
+    """Whether `s` is a Fock state over `n_modes >= 1` modes: a tuple of that
+    length whose entries all pass `is_occupation`."""
+    return (isinstance(s, tuple) and n_modes >= 1 and len(s) == n_modes
+            and all(map(is_occupation, s)))
 
 
 def enumerate_fock_states(n_photons: int, n_modes: int) -> list[FockState]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .circuit import Circuit, GateSpec, _assemble, check_static, check_structure
 from .engine import _evaluate, distance_l2, distance_tv
-from .fock import FockState, Pmf, is_occupation, is_probability, is_real
+from .fock import FockState, Pmf, is_occupation, is_probability, is_real, is_state
 from .gates import GateType
 from .sampler import rng_from_seed
 
@@ -145,8 +145,7 @@ def opt_config(problem: OptProblem,
     for inp, target in problem.pairs:
         check_static(template, tuple(inp)).raise_if_violated()
         for state, p in target.items():
-            if not (isinstance(state, tuple) and len(state) == template.n_modes
-                    and all(map(is_occupation, state)) and is_probability(p)):
+            if not (is_state(state, template.n_modes) and is_probability(p)):
                 raise ValueError(f"target entry {state!r}: {p!r} is not a probability "
                                  f"of a {template.n_modes}-mode occupation tuple")
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockState, Pmf, is_occupation
+from .fock import FockState, Pmf, is_occupation, is_state
 
 MAX_SEED = 2 ** 64 - 1
 
@@ -19,7 +19,10 @@ MAX_SEED = 2 ** 64 - 1
 class ShotRecord:
     shots: tuple[FockState, ...]
     seed: int
-    n_shots: int
+
+    @property
+    def n_shots(self) -> int:
+        return len(self.shots)
 
 
 def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
@@ -31,9 +34,16 @@ def rng_from_seed(seed: int, stream: int = 0) -> np.random.Generator:
 
 
 def sample(pmf: Pmf, n_shots: int, seed: int) -> ShotRecord:
-    """Draw `n_shots` i.i.d. states from `pmf` renormalised to sum 1."""
+    """Draw `n_shots` i.i.d. states from `pmf` renormalised to sum 1.
+
+    The keys of `pmf` must pass `is_state` over one mode count.
+    """
     if not (is_occupation(n_shots) and n_shots >= 1):
         raise ValueError(f"n_shots must be a positive integer, got {n_shots!r}")
+    first = next(iter(pmf), ())
+    n_modes = len(first) if isinstance(first, tuple) else 0
+    if not all(is_state(s, n_modes) for s in pmf):
+        raise ValueError("pmf keys must be Fock states over one mode count")
     states = sorted(pmf, reverse=True)
     weights = np.array([pmf[s] for s in states], dtype=float)
     if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
@@ -46,12 +56,12 @@ def sample(pmf: Pmf, n_shots: int, seed: int) -> ShotRecord:
     draws = rng_from_seed(seed).random(n_shots)
     indices = np.searchsorted(cdf, draws, side="right")
     shots = tuple(states[i] for i in indices)
-    return ShotRecord(shots=shots, seed=seed, n_shots=n_shots)
+    return ShotRecord(shots=shots, seed=seed)
 
 
 def empirical_pmf(record: ShotRecord) -> Pmf:
     """Relative frequencies of the recorded shots."""
-    if not (is_occupation(record.n_shots) and record.n_shots >= 1):
-        raise ValueError(f"n_shots must be a positive integer, got {record.n_shots!r}")
+    if not record.shots:
+        raise ValueError("cannot estimate a pmf from a record with no shots")
     counts = Counter(record.shots)
     return {state: count / record.n_shots for state, count in counts.items()}

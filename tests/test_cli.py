@@ -46,6 +46,16 @@ def test_check_malformed_document_is_a_parse_error():
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("deep", ["circuit", "input"])
+def test_deeply_nested_document_is_a_parse_error(deep, tmp_path, capsys):
+    nested = tmp_path / "deep.json"
+    nested.write_text("[" * 200_000, encoding="utf-8")
+    args = {"circuit": fixture("hom.bosc"), "input": fixture("hom.bosin"), deep: str(nested)}
+    assert cli.main(["check", args["circuit"], args["input"]]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {deep} document is nested too deeply\n"
+
+
 def test_missing_file_is_a_parse_error():
     proc = run_cli("check", fixture("nope.bosc"), fixture("hom.bosin"))
     assert proc.returncode == 1

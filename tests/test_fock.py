@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import boskit.fock
 from boskit.engine import output_amplitude
 from boskit.fock import (EnumerationCapError, enumerate_fock_states, is_occupation,
-                         is_probability, is_real)
+                         is_probability, is_real, is_state)
 
 from oracles import count_states
 
@@ -18,6 +18,10 @@ def test_occupation_rule_rejects_bad_states():
     # a Fock state is a non-empty tuple of non-negative integer occupations
     assert all(is_occupation(n) for n in (0, 1, np.int64(3)))
     assert not any(is_occupation(n) for n in (-1, True, 1.0))
+    assert is_state((1, 0), 2) and is_state((np.int64(2),), 1)
+    assert not any(is_state(s, 2) for s in ((1,), (1, 0, 0), [1, 0], (1.5, 0),
+                                            (True, 0), (-1, 2), "ab"))
+    assert not is_state((), 0)
     with pytest.raises(ValueError):
         output_amplitude(np.zeros((0, 0)), [], [])
     with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Library inputs are checked once, where they enter, by the rules in `boskit.fock`.
 
-Counts and seeds follow `is_occupation`, reals `is_real` and pmf values
-`is_probability`.  A value that breaks its rule raises ValueError (or
-StaticSemanticsError, for gate parameters) before any evaluation; it is
-never coerced, and no TypeError or OverflowError escapes.
+Counts and seeds follow `is_occupation`, reals `is_real`, pmf values
+`is_probability` and Fock states `is_state`, in the library and in the
+documents alike.  A value that breaks its rule raises ValueError (or
+StaticSemanticsError, for gate parameters; DocumentError, for documents)
+before any evaluation; it is never coerced, and no TypeError or
+OverflowError escapes.
 """
 
+import json
 import math
 
 import numpy as np
@@ -13,8 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import boskit.dslio
+import boskit.engine
+import boskit.optimizer
+import boskit.sampler
 from boskit.circuit import Circuit, GateSpec, StaticSemanticsError
-from boskit.engine import prob_fn
+from boskit.dslio import DocumentTypeError, parse_input, parse_pairs, parse_pmf
+from boskit.engine import output_amplitude, prob_fn
 from boskit.gates import GateType
 from boskit.optimizer import OptProblem, opt_config, opt_structure
 from boskit.sampler import ShotRecord, empirical_pmf, sample
@@ -71,8 +79,62 @@ def test_sample_refuses_non_integer_counts_and_seeds(n_shots, seed):
 
 @pytest.mark.parametrize("n_shots", [True, 1.0, 0])
 def test_empirical_pmf_refuses_a_bad_shot_count(n_shots):
+    # A record's count is the number of its shots, so a bad count can only
+    # be asked of `sample`, which refuses it before any record is made.
     with pytest.raises(ValueError, match="n_shots"):
-        empirical_pmf(ShotRecord(((1, 0),), 0, n_shots))
+        empirical_pmf(sample(PMF, n_shots, 0))
+    with pytest.raises(TypeError):
+        ShotRecord(((1, 0),), 0, n_shots)
+
+
+def test_empirical_pmf_refuses_an_empty_record():
+    with pytest.raises(ValueError, match="no shots"):
+        empirical_pmf(ShotRecord((), 0))
+
+
+@pytest.mark.parametrize("pmf", [
+    {(1.5, 0): 1.0},
+    {(1, 0): 0.5, (1,): 0.5},
+    {(True, 0): 1.0},
+    {(-1, 2): 1.0},
+    {(): 1.0},
+    {"ab": 1.0},
+    {5: 1.0},
+])
+def test_sample_refuses_keys_that_are_not_states_over_one_mode_count(pmf):
+    with pytest.raises(ValueError, match="Fock states"):
+        sample(pmf, 3, 0)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (parse_pmf, '[{"state": [1, 0], "prob": 0.5}, {"state": [1], "prob": 0.5}]'),
+    (parse_pmf, '[{"state": [], "prob": 0.5}]'),
+    (parse_pairs, '[{"input": [1, 0], "target": [{"state": [1, 0, 0], "prob": 1.0}]}]'),
+])
+def test_documents_refuse_states_over_the_wrong_mode_count(parse, text):
+    with pytest.raises(DocumentTypeError, match="state"):
+        parse(text)
+
+
+STATE_REFUSALS = {
+    "output_amplitude": (boskit.engine,
+                         lambda: output_amplitude(np.eye(2), (1, 0), (0, 1))),
+    "opt_config": (boskit.optimizer, lambda: train(init_params=OPTIMUM)),
+    "sample": (boskit.sampler, lambda: sample(PMF, 3, 0)),
+    "parse_input": (boskit.dslio, lambda: parse_input("[1, 0]")),
+    "parse_pmf": (boskit.dslio, lambda: parse_pmf('[{"state": [1, 0], "prob": 1.0}]')),
+    "parse_pairs": (boskit.dslio, lambda: parse_pairs(
+        '[{"input": [1, 0], "target": [{"state": [0, 1], "prob": 1.0}]}]')),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STATE_REFUSALS))
+def test_every_state_entry_defers_to_the_one_rule(entry, monkeypatch):
+    module, call = STATE_REFUSALS[entry]
+    call()  # a valid state passes
+    monkeypatch.setattr(module, "is_state", lambda s, n_modes: False)
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_prob_fn_refuses_a_string_threshold():
@@ -125,4 +187,58 @@ def test_any_value_in_a_scalar_slot_runs_or_raises_value_error(slot, data):
     try:
         call(value)
     except ValueError:  # StaticSemanticsError and the resource errors included
+        pass
+
+
+# Any hashable sequence as a pmf key or Fock state: tuples of any entries,
+# and strings.  Entries include huge integers, which pass `is_occupation`.
+# Sequences only: `output_amplitude`, like `prob_fn`, converts a state with
+# `tuple()`, which still raises TypeError on a non-iterable.
+ENTRIES = st.one_of(
+    st.integers(-2, 4), st.just(np.int64(3)), st.floats(), st.booleans(), st.none(),
+    st.text(max_size=2), st.complex_numbers(max_magnitude=2),
+    st.sampled_from([-10 ** 400, 10 ** 400, np.float64(0.5), np.bool_(True), (0.5,)]))
+KEYS = st.one_of(st.lists(ENTRIES, max_size=4).map(tuple), st.text(max_size=3))
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["state", "prob", "input", "target",
+                                         "retained_mass", "x"]), inner, max_size=3)),
+    max_leaves=12)
+
+
+def pmf_doc(state) -> list:
+    return [{"state": [1, 0], "prob": 0.5}, {"state": state, "prob": 0.5}]
+
+
+def pair_doc(input_state, target_state) -> str:
+    return json.dumps([{"input": input_state,
+                        "target": [{"state": target_state, "prob": 1.0}]}])
+
+
+STATE_SLOTS = {
+    "sample key": (KEYS, lambda k: sample({k: 1.0}, 3, 0)),
+    "sample second key": (KEYS, lambda k: sample({(1, 0): 0.5, k: 0.5}, 3, 0)),
+    "output_amplitude input": (KEYS, lambda k: output_amplitude(np.eye(2), k, (1, 0))),
+    "output_amplitude output": (KEYS, lambda k: output_amplitude(np.eye(2), (0, 1), k)),
+    "opt_config target": (KEYS, lambda k: train(pairs=(((1, 0), {k: 1.0}),))),
+    "parse_input": (JSON, lambda v: parse_input(json.dumps(v))),
+    "parse_pmf": (JSON, lambda v: parse_pmf(json.dumps(v))),
+    "parse_pmf state": (JSON, lambda v: parse_pmf(json.dumps(pmf_doc(v)))),
+    "parse_pairs": (JSON, lambda v: parse_pairs(json.dumps(v))),
+    "parse_pairs input": (JSON, lambda v: parse_pairs(pair_doc(v, [1, 0]))),
+    "parse_pairs target state": (JSON, lambda v: parse_pairs(pair_doc([1, 0], v))),
+}
+
+
+@pytest.mark.parametrize("slot", sorted(STATE_SLOTS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_any_value_in_a_state_slot_runs_or_raises_value_error(slot, data):
+    values, call = STATE_SLOTS[slot]
+    value = data.draw(values)
+    try:
+        call(value)
+    except ValueError:  # DocumentError included
         pass

@@ -43,8 +43,8 @@ def test_shots_stay_inside_support():
 
 
 def test_empirical_pmf_counts():
-    assert empirical_pmf(ShotRecord(((1, 0),), 0, 1)) == {(1, 0): 1.0}
-    two = empirical_pmf(ShotRecord(((1, 0), (0, 1)), 0, 2))
+    assert empirical_pmf(ShotRecord(((1, 0),), 0)) == {(1, 0): 1.0}
+    two = empirical_pmf(ShotRecord(((1, 0), (0, 1)), 0))
     assert two == {(1, 0): 0.5, (0, 1): 0.5}
 
 
