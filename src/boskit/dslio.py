@@ -26,6 +26,7 @@ Conventional extensions: .bosc (circuit), .bosin (input), .bospmf (pmf),
 """
 
 import json
+import sys
 from typing import Sequence
 
 from .circuit import Circuit, GateSpec
@@ -65,6 +66,10 @@ def _load_json(text: str, what: str):
             f"column {exc.colno}: {exc.msg}") from None
     except RecursionError:
         raise DocumentSyntaxError(f"{what} document is nested too deeply") from None
+    except ValueError:  # Python's digit limit on integer literals
+        raise DocumentSyntaxError(
+            f"{what} document has an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _require_keys(obj: dict, required: Sequence[str], where: str) -> None:

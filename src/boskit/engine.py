@@ -19,6 +19,14 @@ by summing probabilities over their occupations.
   so the submatrices of up to `_BLOCK` outputs are stacked and
   `_permanents` runs one Gray-code Ryser pass over the (B, n, n) stack.
   `permanent` is the same kernel on a stack of one.
+- Stacked evaluation.  `_evaluate` takes a (K, M, M) stack of transfer
+  matrices that share one layout (the optimizer's finite-difference
+  probes; `prob_fn` passes a stack of one).  The basis, its row indices
+  and its norms are built once per stack, one stacked QR compresses
+  every matrix's loss rows, and each permanent pass covers K x B
+  submatrices, with B = _BLOCK // K outputs per block so that no stack
+  exceeds `_BLOCK` matrices when K <= `_BLOCK`.  Each matrix's pmf is
+  the one it gives alone, bit for bit.
 
 Each probability keeps the arithmetic of abs(permanent(sub) / norm) ** 2:
 the real and imaginary parts are divided by the norm separately, np.hypot
@@ -30,7 +38,9 @@ rounding only.
 
 The public entries `prob_fn` and `output_amplitude` validate their
 arguments; the internal `_evaluate` checks only the photon total and
-returns the full pmf.  The one evaluation setting is `prob_fn`'s `threshold`.
+returns the full pmfs.  Photon totals are summed over Python ints, so a
+numpy count beside a huge Python int is refused by the limit rather than
+overflowing.  The one evaluation setting is `prob_fn`'s `threshold`.
 """
 
 import math
@@ -38,7 +48,7 @@ import math
 import numpy as np
 
 from .circuit import Circuit, _assemble, check_static
-from .fock import FockState, Pmf, enumerate_fock_states, is_real, is_state
+from .fock import FockState, Pmf, enumerate_fock_states, is_real, is_state, state_tuple
 
 # Permanents are O(2^n * n); anything larger than this is intractable here.
 MAX_PERMANENT_SIZE = 30
@@ -69,7 +79,17 @@ def permanent(matrix: np.ndarray) -> complex:
 def _check_permanent_size(n: int) -> None:
     if n > MAX_PERMANENT_SIZE:
         raise PermanentSizeError(
-            f"matrix of size {n} exceeds the {MAX_PERMANENT_SIZE} limit")
+            f"exact permanents are limited to {MAX_PERMANENT_SIZE} photons (matrix rows)")
+
+
+def _photon_total(state: FockState) -> int:
+    """Photon total of a state of checked counts, summed over Python ints.
+
+    Checked against MAX_PERMANENT_SIZE before any per-photon work.
+    """
+    total = sum(map(int, state))  # numpy counts: no int64 overflow
+    _check_permanent_size(total)
+    return total
 
 
 def _permanents(stack: np.ndarray) -> np.ndarray:
@@ -140,16 +160,14 @@ def output_amplitude(u: np.ndarray, input_state: FockState,
     u = np.asarray(u, dtype=complex)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"output_amplitude needs a square matrix, got shape {u.shape}")
-    input_state = tuple(input_state)
-    output_state = tuple(output_state)
+    input_state = state_tuple(input_state)
+    output_state = state_tuple(output_state)
     for state in (input_state, output_state):
         if not is_state(state, u.shape[0]):
             raise ValueError(f"{state} is not a Fock state of a {u.shape[0]}-mode matrix")
-    if sum(input_state) != sum(output_state):
-        raise ValueError(
-            f"photon totals differ: {sum(input_state)} in, "
-            f"{sum(output_state)} out")
-    _check_permanent_size(sum(input_state))
+    n_in, n_out = _photon_total(input_state), _photon_total(output_state)
+    if n_in != n_out:
+        raise ValueError(f"photon totals differ: {n_in} in, {n_out} out")
     sub = u[np.ix_(_mode_repeats(output_state), _mode_repeats(input_state))]
     norm = math.sqrt(_factorial_product(input_state) * _factorial_product(output_state))
     return permanent(sub) / norm
@@ -172,41 +190,47 @@ def prob_fn(circuit: Circuit, input_state, *, threshold: float = 0.0) -> Pmf:
     """
     if not (is_real(threshold) and 0.0 <= threshold < 1.0):
         raise ValueError(f"threshold must lie in [0, 1), got {threshold!r}")
-    input_state = tuple(input_state)
+    input_state = state_tuple(input_state)
     check_static(circuit, input_state).raise_if_violated()
-    pmf = _evaluate(_assemble(circuit), circuit.n_modes, input_state)
+    [pmf] = _evaluate(_assemble(circuit)[np.newaxis], circuit.n_modes, input_state)
     if threshold > 0.0:
         pmf = {state: p for state, p in pmf.items() if p >= threshold}
     return pmf
 
 
-def _evaluate(u: np.ndarray, n_observed: int, input_state: FockState) -> Pmf:
-    """The full pmf from the transfer matrix `u` of a checked circuit.
+def _evaluate(us: np.ndarray, n_observed: int, input_state: FockState) -> list[Pmf]:
+    """The full pmf of each transfer matrix in the (K, M, M) stack `us`.
 
-    `input_state` covers the first `n_observed` modes; the rest are loss modes.
-    Only its photon total is checked, before any per-photon work.
+    The matrices are of checked circuits with one layout: `input_state`
+    covers the first `n_observed` modes, the rest are loss modes.  Only its
+    photon total is checked, before any per-photon work.  The basis, its
+    row indices and its norms are built once for the whole stack.
     """
-    _check_permanent_size(sum(input_state))
-    occupied = [mode for mode, n in enumerate(input_state) if n]
-    v = u[:, occupied]
-    if u.shape[0] > n_observed:  # compress the loss modes
-        v = np.vstack((v[:n_observed], np.linalg.qr(v[n_observed:], mode="r")))
+    n = _photon_total(input_state)
+    occupied = [mode for mode, count in enumerate(input_state) if count]
+    v = us[:, :, occupied]
+    if us.shape[1] > n_observed:  # compress the loss modes
+        v = np.concatenate(
+            (v[:, :n_observed], np.linalg.qr(v[:, n_observed:], mode="r")), axis=1)
     cols = _mode_repeats([input_state[mode] for mode in occupied])
     input_factorials = _factorial_product(input_state)
-    outputs = enumerate_fock_states(len(cols), v.shape[0])
-    pmf: Pmf = {}
-    for start in range(0, len(outputs), _BLOCK):
-        block = outputs[start:start + _BLOCK]
+    outputs = enumerate_fock_states(n, v.shape[1])
+    pmfs: list[Pmf] = [{} for _ in us]
+    step = max(1, _BLOCK // len(us))  # at most _BLOCK matrices per stack
+    for start in range(0, len(outputs), step):
+        block = outputs[start:start + step]
         rows = np.array([_mode_repeats(state) for state in block], dtype=np.intp)
-        perms = _permanents(v[rows[:, :, np.newaxis], cols])
+        subs = v[:, rows[:, :, np.newaxis], cols]
+        perms = _permanents(subs.reshape(len(us) * len(block), n, n)).reshape(len(us), -1)
         norms = np.array([math.sqrt(input_factorials * _factorial_product(state))
                           for state in block])
         # abs(permanent(sub) / norm) ** 2, operation for operation
         magnitudes = np.hypot(perms.real / norms, perms.imag / norms).tolist()
-        for state, magnitude in zip(block, magnitudes):
-            observed = state[:n_observed]
-            pmf[observed] = pmf.get(observed, 0.0) + magnitude ** 2
-    return pmf
+        observed = [state[:n_observed] for state in block]
+        for pmf, row in zip(pmfs, magnitudes):
+            for key, magnitude in zip(observed, row):
+                pmf[key] = pmf.get(key, 0.0) + magnitude ** 2
+    return pmfs
 
 
 def pmf_mass(pmf: Pmf) -> float:

@@ -6,12 +6,14 @@ probabilities; it may sum to less than 1 after thresholding.  The one
 rule per kind of library input lives here too, applied once where the
 input enters; there are four: `is_occupation` (counts, seeds), `is_real`,
 `is_probability` and `is_state` (Fock states, in the library and in
-documents alike).
+documents alike).  `state_tuple` turns a library state into the tuple
+these rules judge, refusing a value that is not a sequence.
 """
 
 import math
 import numbers
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -47,6 +49,16 @@ def is_state(s, n_modes: int) -> bool:
     length whose entries all pass `is_occupation`."""
     return (isinstance(s, tuple) and n_modes >= 1 and len(s) == n_modes
             and all(map(is_occupation, s)))
+
+
+def state_tuple(s) -> tuple:
+    """`s` as a tuple for the state rules to judge; ValueError, not TypeError,
+    when `s` is not a sequence (a 1-D or higher numpy array counts as one, and
+    bytes, whose items would pass as counts, do not)."""
+    if (isinstance(s, (bytes, bytearray))
+            or not (isinstance(s, Sequence) or (isinstance(s, np.ndarray) and s.ndim > 0))):
+        raise ValueError(f"a Fock state must be a sequence of photon counts, got {s!r}")
+    return tuple(s)
 
 
 def enumerate_fock_states(n_photons: int, n_modes: int) -> list[FockState]:

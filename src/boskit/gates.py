@@ -139,7 +139,12 @@ def _mixer_lossy_correlated(theta: float, phi: float, eta: float) -> np.ndarray:
     m = _mixer(theta, phi)
     a = math.sqrt(eta)
     b = math.sqrt(1.0 - eta)
-    return np.block([[a * m, b * m], [-b * m, a * m]])
+    u = np.empty((4, 4), dtype=complex)
+    u[:2, :2] = a * m
+    u[:2, 2:] = b * m
+    u[2:, :2] = -b * m
+    u[2:, 2:] = a * m
+    return u
 
 
 # Angles are unbounded; the etas are transmissivities and lie in [0, 1].

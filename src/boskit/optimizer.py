@@ -9,6 +9,11 @@ parameter set, which trains the circuit as a classifier.
 
 `OptProblem` is plain data that `opt_config` checks once; the objective
 then calls the engine's `_evaluate` on parameters clipped into range.
+Each iteration's 2P probes are evaluated as one stack: every probe is
+assembled with the scalar gate builders, and `_evaluate` runs once per
+pair over the stacked matrices.  `fd_gradient` is the scalar form of the
+same rule, one objective call per probe, and gives the same gradient bit
+for bit.
 """
 
 import math
@@ -19,7 +24,8 @@ import numpy as np
 
 from .circuit import Circuit, GateSpec, _assemble, check_static, check_structure
 from .engine import _evaluate, distance_l2, distance_tv
-from .fock import FockState, Pmf, is_occupation, is_probability, is_real, is_state
+from .fock import (FockState, Pmf, is_occupation, is_probability, is_real, is_state,
+                   state_tuple)
 from .gates import GateType
 from .sampler import rng_from_seed
 
@@ -82,38 +88,68 @@ def _random_params(template: Circuit, rng: np.random.Generator) -> np.ndarray:
     return np.array(values, dtype=float)
 
 
-def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray,
-                lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Central-difference gradient estimate, clipping probes into bounds.
+def _fd_gradient(losses: Callable[[list[np.ndarray]], list[float]], x: np.ndarray,
+                 lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Central differences at `x`, with every probe's loss from one call of `losses`.
 
-    Interior parameters get exact central differences with step FD_STEP;
-    at a bound the probe is clipped and the difference quotient uses
-    the actual probe separation.
+    Parameter i is probed FD_STEP either side, clipped into its bounds,
+    and its quotient uses the actual separation; a parameter whose probes
+    coincide gets no probe and a zero gradient.
     """
-    grad = np.zeros_like(x)
+    probes, spans = [], []
     for i in range(len(x)):
         x_plus, x_minus = x.copy(), x.copy()
         x_plus[i] = min(x[i] + FD_STEP, upper[i])
         x_minus[i] = max(x[i] - FD_STEP, lower[i])
         span = x_plus[i] - x_minus[i]
         if span:
-            grad[i] = (fn(x_plus) - fn(x_minus)) / span
+            probes += [x_plus, x_minus]
+            spans.append((i, span))
+    grad = np.zeros_like(x)
+    if probes:
+        values = losses(probes)
+        for k, (i, span) in enumerate(spans):
+            grad[i] = (values[2 * k] - values[2 * k + 1]) / span
     return grad
 
 
-def _make_objective(problem: OptProblem) -> Callable[[np.ndarray], float]:
+def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray,
+                lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Central-difference gradient estimate, clipping probes into bounds.
+
+    Interior parameters get exact central differences with step FD_STEP;
+    at a bound the probe is clipped and the difference quotient uses
+    the actual probe separation.  One `fn` call per probe: the scalar
+    form of the gradient `opt_config` takes over one stack of probes,
+    equal to it bit for bit.
+    """
+    return _fd_gradient(lambda points: [fn(p) for p in points], x, lower, upper)
+
+
+def _make_losses(problem: OptProblem, inputs: list[FockState]
+                 ) -> Callable[[list[np.ndarray]], list[float]]:
+    """The objective at each of a list of parameter vectors, in one evaluation per pair.
+
+    Each vector is assembled with the scalar gate builders; the matrices
+    are stacked, `_evaluate` runs once per pair over the stack, and each
+    vector's distances are summed in pair order.
+    """
     distance = OBJECTIVES[problem.objective]
-    n_modes = problem.circuit_template.n_modes
+    template = problem.circuit_template
+    targets = [target for _, target in problem.pairs]
 
-    def objective(values: np.ndarray) -> float:
-        u = _assemble(_with_params(problem.circuit_template, values.tolist()))
-        loss = sum(distance(_evaluate(u, n_modes, inp), target)
-                   for inp, target in problem.pairs)
-        if not math.isfinite(loss):
-            raise NonFiniteObjectiveError(f"objective evaluated to {loss}")
-        return float(loss)
+    def losses(points: list[np.ndarray]) -> list[float]:
+        us = np.stack([_assemble(_with_params(template, x.tolist())) for x in points])
+        per_pair = [_evaluate(us, template.n_modes, inp) for inp in inputs]
+        values = []
+        for k in range(len(points)):
+            loss = sum(distance(pmfs[k], target) for pmfs, target in zip(per_pair, targets))
+            if not math.isfinite(loss):
+                raise NonFiniteObjectiveError(f"objective evaluated to {loss}")
+            values.append(float(loss))
+        return values
 
-    return objective
+    return losses
 
 
 def opt_config(problem: OptProblem,
@@ -142,14 +178,15 @@ def opt_config(problem: OptProblem,
         raise ValueError(
             f"objective must be one of {sorted(OBJECTIVES)}, got {problem.objective!r}")
     rng = rng_from_seed(problem.seed)
-    for inp, target in problem.pairs:
-        check_static(template, tuple(inp)).raise_if_violated()
+    inputs = [state_tuple(inp) for inp, _ in problem.pairs]
+    for inp, (_, target) in zip(inputs, problem.pairs):
+        check_static(template, inp).raise_if_violated()
         for state, p in target.items():
             if not (is_state(state, template.n_modes) and is_probability(p)):
                 raise ValueError(f"target entry {state!r}: {p!r} is not a probability "
                                  f"of a {template.n_modes}-mode occupation tuple")
 
-    objective = _make_objective(problem)
+    losses = _make_losses(problem, inputs)
     lower, upper = _param_bounds(template)
     if init_params is not None:
         if len(init_params) != len(lower):
@@ -159,14 +196,14 @@ def opt_config(problem: OptProblem,
     else:
         params = _random_params(template, rng)
 
-    loss = objective(params)
+    [loss] = losses([params])
     history = [loss]
     for _ in range(n_train - 1):
         if loss < STOP_LOSS or len(params) == 0:
             break
-        grad = fd_gradient(objective, params, lower=lower, upper=upper)
+        grad = _fd_gradient(losses, params, lower, upper)
         candidate = np.clip(params - step * grad, lower, upper)
-        candidate_loss = objective(candidate)
+        [candidate_loss] = losses([candidate])
         if candidate_loss <= loss:  # keep best-seen parameters
             params, loss = candidate, candidate_loss
         history.append(loss)

@@ -127,6 +127,18 @@ def test_parse_input_rejections(text):
         parse_input(text)
 
 
+@pytest.mark.parametrize("parse, text", [
+    (parse_input, "[" + "1" * 5000 + "]"),
+    (parse_circuit, '{"modes": 2, "posn": [{"name": "P", "modes": [0]}], '
+                    '"config": [{"name": "P", "phi": 1' + "0" * 5000 + "}]}"),
+    (parse_pmf, '[{"state": [1], "prob": 1' + "0" * 5000 + "}]"),
+    (parse_pairs, '[{"input": [' + "2" * 4301 + '], "target": []}]'),
+], ids=["input", "circuit", "pmf", "pairs"])
+def test_integers_past_the_digit_limit_are_syntax_errors(parse, text):
+    with pytest.raises(DocumentSyntaxError, match="4300 digits"):
+        parse(text)
+
+
 def test_pmf_report_order_puts_bunched_states_first():
     hom = prob_fn(Circuit(2, (GateSpec(GateType.MIXER, (0, 1),
                                        (math.pi / 4, 0.0)),)), (1, 1))

@@ -182,6 +182,43 @@ def test_prob_fn_sums_output_amplitudes_bit_for_bit():
     assert lossless >= 10 and lossy >= 10
 
 
+def _redrawn(circuit: Circuit, rng) -> Circuit:
+    """The circuit with fresh parameters, so the transfer matrix keeps its layout."""
+    return Circuit(circuit.n_modes, tuple(
+        GateSpec(g.gate_type, g.modes,
+                 tuple(float(rng.random()) * (1.0 if p.hi == 1.0 else 2 * math.pi)
+                       for p in g.gate_type.params))
+        for g in circuit.gates))
+
+
+def test_stacked_evaluation_equals_one_matrix_at_a_time():
+    # The optimizer evaluates each iteration's probes as one (K, M, M)
+    # stack; every pmf must be the one its matrix gives alone, bit for bit
+    # and key order included, however the stack is blocked.
+    rng = rng_from_seed(73)
+    cases = []
+    for circuit in circuit_corpus(seed=79, count=30, max_modes=4, max_gates=5):
+        photons = rng.integers(circuit.n_modes, size=int(rng.integers(4)))
+        cases.append((circuit, tuple(int(n) for n in np.bincount(
+            photons, minlength=circuit.n_modes)), int(rng.integers(2, 7))))
+    # 4 photons, d = 3 occupied modes: a 6-mode compressed basis of 126
+    # states, so 12 probes need 1512 > _BLOCK matrices and two blocks
+    crossing = Circuit(3, (GateSpec(GateType.MIXER, (0, 1), (0.3, 0.2)),
+                           GateSpec(GateType.MIXER_LOSSY_UNCORRELATED, (1, 2),
+                                    (0.5, 0.1, 0.8, 0.6)),
+                           GateSpec(GateType.MIXER, (0, 2), (0.9, 0.4)),
+                           GateSpec(GateType.MIXER_LOSSY_CORRELATED, (0, 1), (0.7, 0.3, 0.7)),
+                           GateSpec(GateType.MIXER, (1, 2), (1.1, 0.5))))
+    cases.append((crossing, (2, 1, 1), 12))
+    assert 12 * len(enumerate_fock_states(4, 6)) > boskit.engine._BLOCK
+    for circuit, input_state, k in cases:
+        us = np.stack([assemble_transfer_matrix(_redrawn(circuit, rng)) for _ in range(k)])
+        stacked = boskit.engine._evaluate(us, circuit.n_modes, input_state)
+        alone = [boskit.engine._evaluate(u[np.newaxis], circuit.n_modes, input_state)[0]
+                 for u in us]
+        assert [list(pmf.items()) for pmf in stacked] == [list(pmf.items()) for pmf in alone]
+
+
 def test_compressed_loss_modes_match_brute_force_oracle():
     # 6-8 lossy gates own 12-16 loss modes, far more than the <= 3
     # occupied input modes, so compression drops most of them

@@ -22,7 +22,7 @@ import boskit.optimizer
 import boskit.sampler
 from boskit.circuit import Circuit, GateSpec, StaticSemanticsError
 from boskit.dslio import DocumentTypeError, parse_input, parse_pairs, parse_pmf
-from boskit.engine import output_amplitude, prob_fn
+from boskit.engine import PermanentSizeError, output_amplitude, prob_fn
 from boskit.gates import GateType
 from boskit.optimizer import OptProblem, opt_config, opt_structure
 from boskit.sampler import ShotRecord, empirical_pmf, sample
@@ -137,6 +137,47 @@ def test_every_state_entry_defers_to_the_one_rule(entry, monkeypatch):
         call()
 
 
+# A numpy count beside a Python int past int64: the photon total is taken
+# over Python ints, so it is refused by the limit instead of overflowing.
+MIXED_TOTAL = (np.int64(3), 10 ** 400)
+TOTALS = {
+    "prob_fn": lambda: prob_fn(Circuit(2, ()), MIXED_TOTAL),
+    "output_amplitude input": lambda: output_amplitude(np.eye(2), MIXED_TOTAL, (1, 0)),
+    "output_amplitude output": lambda: output_amplitude(np.eye(2), (1, 0), MIXED_TOTAL),
+    "opt_config input": lambda: train(pairs=((MIXED_TOTAL, {(0, 1): 1.0}),)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(TOTALS))
+def test_a_photon_total_past_int64_is_refused_by_the_limit(entry):
+    with pytest.raises(PermanentSizeError, match="limited to 30 photons") as err:
+        TOTALS[entry]()
+    assert len(str(err.value)) < 80
+
+
+NOT_SEQUENCES = (5, None, 1.5, np.int64(1), np.array(3), {1, 0}, b"\x01\x00")
+NON_SEQUENCE_ENTRIES = {
+    "prob_fn": lambda s: prob_fn(Circuit(2, ()), s),
+    "output_amplitude input": lambda s: output_amplitude(np.eye(2), s, (1, 0)),
+    "output_amplitude output": lambda s: output_amplitude(np.eye(2), (1, 0), s),
+    "opt_config input": lambda s: train(pairs=((s, {(0, 1): 1.0}),)),
+}
+
+
+@pytest.mark.parametrize("state", NOT_SEQUENCES, ids=repr)
+@pytest.mark.parametrize("entry", sorted(NON_SEQUENCE_ENTRIES))
+def test_a_state_that_is_not_a_sequence_is_a_value_error(entry, state):
+    with pytest.raises(ValueError, match="sequence") as err:
+        NON_SEQUENCE_ENTRIES[entry](state)
+    assert type(err.value) is ValueError
+
+
+@pytest.mark.parametrize("state", [[1, 1], np.array([1, 1]), (np.int64(1), 1)], ids=repr)
+def test_any_sequence_of_counts_is_a_state(state):
+    assert prob_fn(HOM, state) == prob_fn(HOM, (1, 1))
+    assert output_amplitude(np.eye(2), state, (1, 1)) == 1
+
+
 def test_prob_fn_refuses_a_string_threshold():
     with pytest.raises(ValueError, match=r"got '0\.5'"):
         prob_fn(HOM, (1, 1), threshold="0.5")
@@ -190,15 +231,14 @@ def test_any_value_in_a_scalar_slot_runs_or_raises_value_error(slot, data):
         pass
 
 
-# Any hashable sequence as a pmf key or Fock state: tuples of any entries,
-# and strings.  Entries include huge integers, which pass `is_occupation`.
-# Sequences only: `output_amplitude`, like `prob_fn`, converts a state with
-# `tuple()`, which still raises TypeError on a non-iterable.
+# Any hashable value as a pmf key or Fock state: tuples of any entries,
+# strings, and the entries themselves, which are not sequences.  Entries
+# include huge integers, which pass `is_occupation`, beside numpy counts.
 ENTRIES = st.one_of(
     st.integers(-2, 4), st.just(np.int64(3)), st.floats(), st.booleans(), st.none(),
     st.text(max_size=2), st.complex_numbers(max_magnitude=2),
     st.sampled_from([-10 ** 400, 10 ** 400, np.float64(0.5), np.bool_(True), (0.5,)]))
-KEYS = st.one_of(st.lists(ENTRIES, max_size=4).map(tuple), st.text(max_size=3))
+KEYS = st.one_of(st.lists(ENTRIES, max_size=4).map(tuple), st.text(max_size=3), ENTRIES)
 JSON = st.recursive(
     st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3)),
     lambda inner: st.one_of(
@@ -222,6 +262,8 @@ STATE_SLOTS = {
     "sample second key": (KEYS, lambda k: sample({(1, 0): 0.5, k: 0.5}, 3, 0)),
     "output_amplitude input": (KEYS, lambda k: output_amplitude(np.eye(2), k, (1, 0))),
     "output_amplitude output": (KEYS, lambda k: output_amplitude(np.eye(2), (0, 1), k)),
+    "prob_fn input": (KEYS, lambda k: prob_fn(Circuit(2, ()), k)),
+    "opt_config input": (KEYS, lambda k: train(pairs=((k, {(0, 1): 1.0}),))),
     "opt_config target": (KEYS, lambda k: train(pairs=(((1, 0), {k: 1.0}),))),
     "parse_input": (JSON, lambda v: parse_input(json.dumps(v))),
     "parse_pmf": (JSON, lambda v: parse_pmf(json.dumps(v))),

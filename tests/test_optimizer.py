@@ -8,7 +8,7 @@ import boskit.engine
 import boskit.gates
 import boskit.optimizer
 from boskit.circuit import Circuit, GateSpec, StaticSemanticsError
-from boskit.engine import distance_tv, prob_fn
+from boskit.engine import distance_l2, distance_tv, prob_fn
 from boskit.gates import GateType
 from boskit.optimizer import (FD_STEP, NonFiniteObjectiveError, OptProblem, fd_gradient,
                               opt_config, opt_structure)
@@ -226,3 +226,24 @@ def test_more_restarts_never_hurt():
                             n_train=60, step_size=0.25).final_loss
               for n in (1, 2, 4, 8)]
     assert all(a >= b for a, b in zip(losses, losses[1:]))
+
+
+def test_stacked_gradient_equals_fd_gradient_bit_for_bit():
+    # opt_config evaluates each iteration's probes as one stack; the public
+    # scalar fd_gradient over prob_fn is its oracle, compared with ==.
+    problem = OptProblem(TRAIN_TEMPLATE, TRAIN_PAIRS, objective="l2")
+    inputs = [inp for inp, _ in TRAIN_PAIRS]
+    lower, upper = boskit.optimizer._param_bounds(TRAIN_TEMPLATE)
+
+    def objective(values):
+        circuit = boskit.optimizer._with_params(TRAIN_TEMPLATE, values.tolist())
+        return float(sum(distance_l2(prob_fn(circuit, inp), target)
+                         for inp, target in TRAIN_PAIRS))
+
+    losses = boskit.optimizer._make_losses(problem, inputs)
+    # interior, and with the etas on their bounds (clipped, one-sided probes)
+    for x in ([0.4, 1.0, 0.8, 1.2, 0.3, 0.6], [0.4, 1.0, 1.0, 1.2, 0.3, 0.0]):
+        x = np.array(x)
+        stacked = boskit.optimizer._fd_gradient(losses, x, lower, upper)
+        assert stacked.tolist() == fd_gradient(objective, x, lower, upper).tolist()
+        assert losses([x]) == [objective(x)]
