@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import is_occupation
-from .gates import GATES, GateType, param_violations
+from .gates import GateType, param_violations
 
 
 @dataclass(frozen=True)
@@ -169,11 +169,11 @@ def _assemble(circuit: Circuit) -> np.ndarray:
     """Transfer matrix of a circuit that passed `check_structure`.
 
     R4 has already checked every gate's parameters, so each matrix comes
-    straight from the gate table's unchecked builder.  A k-mode gate
+    straight from its gate type's unchecked builder.  A k-mode gate
     changes only the k rows it touches, so only those are updated.
     """
     u = np.eye(circuit.n_total_modes, dtype=complex)
     for gate, loss_modes in zip(circuit.gates, loss_mode_layout(circuit)):
         rows = list(gate.modes + loss_modes)
-        u[rows] = GATES[gate.gate_type].build(*gate.params) @ u[rows]
+        u[rows] = gate.gate_type.build(*gate.params) @ u[rows]
     return u

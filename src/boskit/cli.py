@@ -198,9 +198,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except dslio.DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except StaticSemanticsError as exc:
         for violation in exc.diagnostics.violations:
             print(str(violation), file=sys.stderr)

@@ -54,9 +54,6 @@ class DocumentAlignmentError(DocumentError):
     """posn and config disagree about gate types or lengths."""
 
 
-_GATE_NAMES = {t.value: t for t in GateType}
-
-
 def _load_json(text: str, what: str):
     try:
         return json.loads(text)
@@ -106,10 +103,12 @@ def _occupations(value, where: str, n_modes: int | None = None) -> FockState:
 
 
 def _gate_type(name, where: str) -> GateType:
-    if not isinstance(name, str) or name not in _GATE_NAMES:
+    try:
+        return GateType(name)
+    except ValueError:
         raise DocumentTypeError(
-            f"{where}: gate type must be one of {sorted(_GATE_NAMES)}, got {name!r}")
-    return _GATE_NAMES[name]
+            f"{where}: gate type must be one of {sorted(t.value for t in GateType)}, "
+            f"got {name!r}") from None
 
 
 def parse_circuit(text: str) -> Circuit:
@@ -213,9 +212,13 @@ def serialize_pmf(pmf: Pmf) -> str:
 
 
 def _parse_pmf_entries(doc, where: str, n_modes: int | None = None) -> Pmf:
-    """Pmf entries whose states share one mode count: `n_modes`, or the first state's."""
-    if not isinstance(doc, list):
-        raise DocumentTypeError(f"{where} must be a JSON array")
+    """Pmf entries whose states share one mode count: `n_modes`, or the first state's.
+
+    The array must hold at least one entry, but a retained-mass footer
+    alone is the empty pmf that thresholding can leave.
+    """
+    if not isinstance(doc, list) or not doc:
+        raise DocumentTypeError(f"{where} must be a non-empty JSON array")
     pmf: Pmf = {}
     for entry in doc:
         if not isinstance(entry, dict):
@@ -231,8 +234,6 @@ def _parse_pmf_entries(doc, where: str, n_modes: int | None = None) -> Pmf:
         if state in pmf:
             raise DocumentTypeError(f"{where}: duplicate state {list(state)}")
         pmf[state] = prob
-    if not pmf:
-        raise DocumentTypeError(f"{where} lists no states")
     return pmf
 
 
@@ -252,8 +253,10 @@ def parse_pairs(text: str) -> list[tuple[FockState, Pmf]]:
             raise DocumentTypeError(f"pairs[{i}] must be an object")
         _require_keys(entry, ("input", "target"), f"pairs[{i}]")
         state = _occupations(entry["input"], f"pairs[{i}].input")
-        pairs.append((state, _parse_pmf_entries(entry["target"], f"pairs[{i}].target",
-                                                len(state))))
+        target = _parse_pmf_entries(entry["target"], f"pairs[{i}].target", len(state))
+        if not target:
+            raise DocumentTypeError(f"pairs[{i}].target lists no states")
+        pairs.append((state, target))
     return pairs
 
 

@@ -4,11 +4,12 @@ Gate matrices map input-mode amplitudes to output-mode amplitudes
 (column index = input mode, row index = output mode).  The two lossy
 mixer variants are 4x4: rows/columns 0-1 are the observed modes, 2-3
 are the unobserved loss modes that the circuit assembler allocates.
-`GATES` is the one table of what each gate type is: its mode counts,
-its parameters with their ranges, and its matrix builder.  The table's
-builders check nothing; `gate_matrix`, the one public builder, runs
-`param_violations` once and then builds.  Mode placement is the
-circuit's concern: `boskit.circuit` owns the R2 and R3 rules.
+`GateType` is the one table of what each gate type is: each member
+carries its mode counts, its parameters with their ranges, and its
+matrix builder.  The builders check nothing; `gate_matrix`, the one
+public builder, runs `param_violations` once and then builds.  Mode
+placement is the circuit's concern: `boskit.circuit` owns the R2 and R3
+rules.
 """
 
 import enum
@@ -21,33 +22,6 @@ import numpy as np
 from .fock import is_real
 
 
-class GateType(enum.Enum):
-    """Gate vocabulary; values are the names used in circuit documents."""
-
-    PHASE = "P"
-    MIXER = "MG"
-    MIXER_LOSSY_UNCORRELATED = "MGL1"
-    MIXER_LOSSY_CORRELATED = "MGL2"
-
-    @property
-    def n_modes(self) -> int:
-        """Observed modes the gate acts on."""
-        return GATES[self].n_modes
-
-    @property
-    def n_loss_modes(self) -> int:
-        """Private unobserved modes the gate introduces."""
-        return GATES[self].n_loss_modes
-
-    @property
-    def params(self) -> tuple["Param", ...]:
-        return GATES[self].params
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(p.name for p in GATES[self].params)
-
-
 @dataclass(frozen=True)
 class Param:
     """A gate parameter's name and the closed range its value must lie in."""
@@ -55,34 +29,6 @@ class Param:
     name: str
     lo: float = -math.inf
     hi: float = math.inf
-
-
-@dataclass(frozen=True)
-class GateInfo:
-    """One row of the gate table."""
-
-    n_modes: int
-    n_loss_modes: int
-    params: tuple[Param, ...]
-    build: Callable[..., np.ndarray]
-
-
-def param_violations(gate_type: GateType, values: Sequence[float]) -> list[str]:
-    """Why `values` is not a valid parameter list for `gate_type` (empty if it is)."""
-    params = gate_type.params
-    if len(values) != len(params):
-        return [f"{gate_type.value} takes {len(params)} parameter(s) "
-                f"({', '.join(gate_type.param_names)}), got {len(values)}"]
-    found = []
-    for param, value in zip(params, values):
-        if not is_real(value):
-            found.append(f"parameter {param.name} must be a real number, got {value!r}")
-        elif not math.isfinite(value):
-            found.append(f"parameter {param.name} must be finite, got {value}")
-        elif not param.lo <= value <= param.hi:
-            found.append(f"parameter {param.name} must lie in "
-                         f"[{param.lo:g}, {param.hi:g}], got {value}")
-    return found
 
 
 def _phase(phi: float) -> np.ndarray:
@@ -147,24 +93,65 @@ def _mixer_lossy_correlated(theta: float, phi: float, eta: float) -> np.ndarray:
     return u
 
 
-# Angles are unbounded; the etas are transmissivities and lie in [0, 1].
-GATES: dict[GateType, GateInfo] = {
-    GateType.PHASE: GateInfo(1, 0, (Param("phi"),), _phase),
-    GateType.MIXER: GateInfo(2, 0, (Param("theta"), Param("phi")), _mixer),
-    GateType.MIXER_LOSSY_UNCORRELATED: GateInfo(
-        2, 2, (Param("theta"), Param("phi"),
-               Param("eta1", 0.0, 1.0), Param("eta2", 0.0, 1.0)),
-        _mixer_lossy_uncorrelated),
-    GateType.MIXER_LOSSY_CORRELATED: GateInfo(
-        2, 2, (Param("theta"), Param("phi"), Param("eta", 0.0, 1.0)),
-        _mixer_lossy_correlated),
-}
+class GateType(enum.Enum):
+    """Gate vocabulary and gate table; values are the names used in circuit documents.
+
+    Each member carries `n_modes` (observed modes it acts on),
+    `n_loss_modes` (private unobserved modes it introduces), `params`,
+    `param_names` and `build`, the unchecked matrix builder.  Angles are
+    unbounded; the etas are transmissivities and lie in [0, 1].
+    """
+
+    n_modes: int
+    n_loss_modes: int
+    params: tuple[Param, ...]
+    param_names: tuple[str, ...]
+    build: Callable[..., np.ndarray]
+
+    def __new__(cls, name: str, n_modes: int, n_loss_modes: int,
+                params: tuple[Param, ...], build: Callable[..., np.ndarray]):
+        member = object.__new__(cls)
+        member._value_ = name
+        member.n_modes = n_modes
+        member.n_loss_modes = n_loss_modes
+        member.params = params
+        member.param_names = tuple(p.name for p in params)
+        member.build = build
+        return member
+
+    PHASE = ("P", 1, 0, (Param("phi"),), _phase)
+    MIXER = ("MG", 2, 0, (Param("theta"), Param("phi")), _mixer)
+    MIXER_LOSSY_UNCORRELATED = (
+        "MGL1", 2, 2, (Param("theta"), Param("phi"),
+                       Param("eta1", 0.0, 1.0), Param("eta2", 0.0, 1.0)),
+        _mixer_lossy_uncorrelated)
+    MIXER_LOSSY_CORRELATED = (
+        "MGL2", 2, 2, (Param("theta"), Param("phi"), Param("eta", 0.0, 1.0)),
+        _mixer_lossy_correlated)
+
+
+def param_violations(gate_type: GateType, values: Sequence[float]) -> list[str]:
+    """Why `values` is not a valid parameter list for `gate_type` (empty if it is)."""
+    params = gate_type.params
+    if len(values) != len(params):
+        return [f"{gate_type.value} takes {len(params)} parameter(s) "
+                f"({', '.join(gate_type.param_names)}), got {len(values)}"]
+    found = []
+    for param, value in zip(params, values):
+        if not is_real(value):
+            found.append(f"parameter {param.name} must be a real number, got {value!r}")
+        elif not math.isfinite(value):
+            found.append(f"parameter {param.name} must be finite, got {value}")
+        elif not param.lo <= value <= param.hi:
+            found.append(f"parameter {param.name} must lie in "
+                         f"[{param.lo:g}, {param.hi:g}], got {value}")
+    return found
 
 
 def gate_matrix(gate_type: GateType, params: tuple[float, ...]) -> np.ndarray:
     """Build the matrix for `gate_type` from its parameter list.
 
-    Each gate type's matrix is defined on its builder in `GATES`.
+    Each gate type's matrix is defined on its builder, `gate_type.build`.
     Raises ValueError, naming the first problem `param_violations`
     finds, on a wrong parameter count, a value that is not a real
     number, or an out-of-range value.
@@ -172,4 +159,4 @@ def gate_matrix(gate_type: GateType, params: tuple[float, ...]) -> np.ndarray:
     problems = param_violations(gate_type, params)
     if problems:
         raise ValueError(problems[0])
-    return GATES[gate_type].build(*params)
+    return gate_type.build(*params)

@@ -77,17 +77,6 @@ def _with_params(template: Circuit, values: Sequence) -> Circuit:
     return Circuit(template.n_modes, tuple(gates))
 
 
-def _random_params(template: Circuit, rng: np.random.Generator) -> np.ndarray:
-    """Uniform over each bounded range; unbounded angles over [0, 2pi)."""
-    values = []
-    for gate in template.gates:
-        for param in gate.gate_type.params:
-            u = rng.random()
-            span = param.hi - param.lo
-            values.append(param.lo + span * u if math.isfinite(span) else 2.0 * math.pi * u)
-    return np.array(values, dtype=float)
-
-
 def _fd_gradient(losses: Callable[[list[np.ndarray]], list[float]], x: np.ndarray,
                  lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Central differences at `x`, with every probe's loss from one call of `losses`.
@@ -193,8 +182,11 @@ def opt_config(problem: OptProblem,
             raise ValueError(f"expected {len(lower)} parameters, got {len(init_params)}")
         check_structure(_with_params(template, init_params)).raise_if_violated()
         params = np.array(init_params, dtype=float)
-    else:
-        params = _random_params(template, rng)
+    else:  # uniform over each bounded range; unbounded angles over [0, 2pi)
+        span = upper - lower
+        bounded = np.isfinite(span)
+        params = (np.where(bounded, lower, 0.0)
+                  + np.where(bounded, span, 2.0 * math.pi) * rng.random(len(lower)))
 
     [loss] = losses([params])
     history = [loss]
@@ -243,19 +235,28 @@ def opt_structure(n_modes: int, n_gates_max: int,
     Each restart draws a candidate structure from its own (seed, restart)
     stream and trains it with `opt_config`; the best trained result wins.
     Restart streams are independent of `n_restarts`, so enlarging the
-    budget can only improve the returned loss.
+    budget can only improve the returned loss.  The counts and every
+    pair's input are checked before the first draw.  A gate count is drawn
+    as `int(rng.random() * (n_gates_max + 1))`, which reaches every count
+    only while `n_gates_max` lies below 2**53.
     """
     if not (is_occupation(n_modes) and n_modes >= 2):
         raise ValueError(f"structure search needs at least 2 modes, got {n_modes!r}")
-    if not is_occupation(n_gates_max):
-        raise ValueError(f"n_gates_max must be a non-negative integer, got {n_gates_max!r}")
+    if not (is_occupation(n_gates_max) and n_gates_max < 2 ** 53):
+        raise ValueError(f"n_gates_max must be a non-negative integer below 2**53, "
+                         f"got {n_gates_max!r}")
     if not (is_occupation(n_restarts) and n_restarts >= 1):
         raise ValueError(f"n_restarts must be a positive integer, got {n_restarts!r}")
+    pairs = tuple(pairs)
+    if not pairs:
+        raise ValueError("at least one (input, target) pair is required")
+    for inp, _ in pairs:
+        check_static(Circuit(n_modes), state_tuple(inp)).raise_if_violated()
     best: OptResult | None = None
     for restart in range(n_restarts):
         rng = rng_from_seed(seed, stream=restart + 1)
         template = _random_structure(n_modes, n_gates_max, rng)
-        problem = OptProblem(circuit_template=template, pairs=tuple(pairs),
+        problem = OptProblem(circuit_template=template, pairs=pairs,
                              n_train=n_train, step_size=step_size,
                              seed=(int(seed) + restart) % 2 ** 64, objective=objective)
         result = opt_config(problem)

@@ -232,6 +232,21 @@ def test_optimize_structure_runs(tmp_path):
     assert learned.exists()
 
 
+@pytest.mark.parametrize("flag, code, line", [
+    ("--modes", 2, "R1: input has 2 mode(s) but the circuit has 1"),
+    ("--max-gates", 1, "error: n_gates_max must be a non-negative integer below 2**53"),
+])
+def test_optimize_structure_refuses_a_count_past_the_double_range(flag, code, line, capsys):
+    counts = {"--modes": "2", "--max-gates": "1", flag: "1" + "0" * 400}
+    argv = ["optimize-structure", fixture("transmit_pairs.json"), "--iters", "2"]
+    for name, value in counts.items():
+        argv += [name, value]
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(line) and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_optimize_rejects_bad_pairs(tmp_path):
     pairs = tmp_path / "pairs.json"
     pairs.write_text('[{"input": [1, 0]}]')

@@ -155,6 +155,19 @@ def test_pmf_round_trip():
     assert parse_pmf(serialize_pmf(pmf)) == pmf
 
 
+def test_thresholded_empty_pmf_round_trips():
+    hom = Circuit(2, (GateSpec(GateType.MIXER, (0, 1), (math.pi / 4, 0.0)),))
+    pmf = prob_fn(hom, (1, 1), threshold=0.6)
+    assert pmf == {}
+    assert parse_pmf(serialize_pmf(pmf)) == {}
+
+
+@pytest.mark.parametrize("target", ['[]', '[{"retained_mass": 0}]'])
+def test_parse_pairs_refuses_an_empty_target(target):
+    with pytest.raises(DocumentError, match="target"):
+        parse_pairs(f'[{{"input": [1, 0], "target": {target}}}]')
+
+
 @pytest.mark.parametrize("text", [
     '[{"state": [1], "prob": 1.5}]',
     '[{"state": [1], "prob": 0.5}, {"state": [1], "prob": 0.5}]',

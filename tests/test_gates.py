@@ -146,3 +146,10 @@ def test_gate_matrix_dispatch_and_arity():
         gate_matrix(GateType.MIXER, (0.1,))
     with pytest.raises(ValueError):
         gate_matrix(GateType.PHASE, (0.1, 0.2))
+    for t in GateType:
+        assert GateType(t.value) is t
+        assert t.param_names == tuple(p.name for p in t.params)
+        p = tuple(0.3 if math.isfinite(param.hi) else 1.1 for param in t.params)
+        u = t.build(*p)
+        assert u.tobytes() == gate_matrix(t, p).tobytes()
+        assert u.shape == (t.n_modes + t.n_loss_modes,) * 2

@@ -71,6 +71,22 @@ def test_opt_structure_refuses_non_integer_counts(args, kwargs, named):
     assert type(err.value) is ValueError
 
 
+@pytest.mark.parametrize("n_modes, n_gates_max, pairs, refusal", [
+    (10 ** 400, 1, PAIRS, StaticSemanticsError),  # no pair's input has that many modes
+    (10 ** 400, 1, (), ValueError),
+    (2, 10 ** 400, PAIRS, ValueError),
+    (2, 2 ** 64, PAIRS, ValueError),
+    (2, 2 ** 53, PAIRS, ValueError),
+], ids=["n_modes 10**400", "n_modes 10**400 without pairs", "n_gates_max 10**400",
+        "n_gates_max 2**64", "n_gates_max 2**53"])
+def test_opt_structure_refuses_counts_it_cannot_draw_before_drawing(
+        n_modes, n_gates_max, pairs, refusal, monkeypatch):
+    monkeypatch.setattr(boskit.optimizer, "_random_structure", None)  # any draw fails
+    with pytest.raises(refusal) as err:
+        opt_structure(n_modes, n_gates_max, pairs, n_train=2)
+    assert type(err.value) is refusal
+
+
 @pytest.mark.parametrize("n_shots, seed", [(3, 1.5), (3, True), (True, 0), (2.0, 0)])
 def test_sample_refuses_non_integer_counts_and_seeds(n_shots, seed):
     with pytest.raises(ValueError, match="n_shots" if seed == 0 else "seed"):
@@ -183,10 +199,8 @@ def test_prob_fn_refuses_a_string_threshold():
         prob_fn(HOM, (1, 1), threshold="0.5")
 
 
-# Any value at all.  Valid counts stay small: no count has an upper bound,
-# so a large valid one only makes the call run long, and `opt_structure`
-# still overflows on an n_modes or n_gates_max beyond the double range
-# (ROADMAP item 5, "Other unbounded inputs").
+# Any value at all.  Valid counts stay small where a count has no upper
+# bound, since a large valid one only makes the call run long.
 NOT_A_COUNT = st.one_of(
     st.floats(), st.booleans(), st.none(), st.text(max_size=2),
     st.complex_numbers(max_magnitude=2), st.fractions(max_denominator=8),
@@ -209,8 +223,8 @@ SLOTS = {
     "opt_config seed": (ANY_VALUE, lambda v: train(seed=v)),
     "opt_config init_params": (ANY_VALUE, lambda v: train(init_params=[v, 0.0])),
     "opt_config target": (ANY_VALUE, lambda v: train(pairs=(((1, 0), {(0, 1): v}),))),
-    "opt_structure n_modes": (COUNTS, lambda v: search(n_modes=v)),
-    "opt_structure n_gates_max": (COUNTS, lambda v: search(n_gates_max=v)),
+    "opt_structure n_modes": (ANY_VALUE, lambda v: search(n_modes=v)),
+    "opt_structure n_gates_max": (ANY_VALUE, lambda v: search(n_gates_max=v)),
     "opt_structure n_restarts": (COUNTS, lambda v: search(n_restarts=v)),
     "opt_structure seed": (ANY_VALUE, lambda v: search(n_restarts=2, seed=v)),
     "sample n_shots": (COUNTS, lambda v: sample(PMF, v, 0)),

@@ -12,6 +12,7 @@ from boskit.engine import distance_l2, distance_tv, prob_fn
 from boskit.gates import GateType
 from boskit.optimizer import (FD_STEP, NonFiniteObjectiveError, OptProblem, fd_gradient,
                               opt_config, opt_structure)
+from boskit.sampler import rng_from_seed
 
 
 def mixer_template():
@@ -26,6 +27,24 @@ CLASSIFIER_PAIRS = (((1, 0), {(1, 0): 1.0}),
 def transmit_objective(theta, phi=0.0):
     circuit = Circuit(2, (GateSpec(GateType.MIXER, (0, 1), (theta, phi)),))
     return distance_tv(prob_fn(circuit, (1, 0)), {(0, 1): 1.0})
+
+
+def test_random_start_is_one_scalar_draw_per_parameter():
+    template = Circuit(3, (GateSpec(GateType.PHASE, (0,), (0.0,)),
+                           GateSpec(GateType.MIXER_LOSSY_UNCORRELATED, (0, 1),
+                                    (0.0, 0.0, 0.5, 0.5)),
+                           GateSpec(GateType.MIXER_LOSSY_CORRELATED, (1, 2), (0.0, 0.0, 0.5))))
+    pairs = (((1, 0, 0), {(1, 0, 0): 1.0}),)
+    for seed in range(20):
+        rng = rng_from_seed(seed)
+        expected = []
+        for gate in template.gates:
+            for param in gate.gate_type.params:  # etas over [0, 1], angles over [0, 2pi)
+                u = rng.random()
+                expected.append(param.lo + (param.hi - param.lo) * u
+                                if math.isfinite(param.hi) else 2.0 * math.pi * u)
+        result = opt_config(OptProblem(template, pairs, n_train=1, seed=seed))
+        assert [p for gate in result.config.gates for p in gate.params] == expected
 
 
 def test_grid_search_confirms_transmission_optimum():
